@@ -40,6 +40,7 @@ from .streaming import (
     tt_drm_new,
 )
 from .tt import (
+    NonFiniteCore,
     RoundSpec,
     ShapeMismatch,
     SizeLimit,

@@ -30,6 +30,7 @@ from .tt import (
     ShapeMismatch,
     TTOperator,
     TTVector,
+    check_finite,
     tt_add,
     tt_dot,
     tt_matvec,
@@ -159,6 +160,12 @@ def _is_zero(v: TTVector | None) -> bool:
     return v is None or all(np.all(c == 0) for c in v.cores)
 
 
+def _check_inputs(b, x0):
+    check_finite(b)
+    if x0 is not None:
+        check_finite(x0)
+
+
 def _initial_residual(a, b, x0):
     if _is_zero(x0):
         return b.copy()
@@ -177,6 +184,7 @@ def tt_gmres(a: TTOperator, b: TTVector, x0: TTVector | None, cfg: SolverConfig)
     [1e-14, 1]); y_k comes from the Givens-updated QR of the Hessenberg
     matrix; the solution is accumulated by sequential rounded additions.
     """
+    _check_inputs(b, x0)
     t_start = time.perf_counter()
     report = SolveReport(seed=cfg.seed)
     nb = tt_norm(b)
@@ -219,8 +227,9 @@ def tt_gmres(a: TTOperator, b: TTVector, x0: TTVector | None, cfg: SolverConfig)
         t0 = time.perf_counter()
         w = tt_matvec(a, basis[-1])
         timer.add("matvec", t0)
-        t0 = time.perf_counter()
+        # the norm is not rounding work; _SketchedRun leaves it untimed too
         norm_av = tt_norm(w)
+        t0 = time.perf_counter()
         w = tt_round(w, RoundSpec(delta, cfg.max_rank))
         timer.add("round", t0)
         t0 = time.perf_counter()
@@ -298,6 +307,7 @@ class _SketchedRun:
             raise ShapeMismatch("sketch dims do not match the right-hand side")
         if a.col_dims != b.dims or a.row_dims != b.dims:
             raise ShapeMismatch("operator dims do not match the right-hand side")
+        _check_inputs(b, x0)
         self.a, self.b, self.cfg = a, b, cfg
         self.sketch = sketch
         self.frame = frame

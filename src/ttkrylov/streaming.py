@@ -125,19 +125,25 @@ def stream_sketch(t: TTVector, frame: StreamFrame) -> SketchPair:
         raise ShapeMismatch(f"tensor dims {t.dims} do not match frame {frame.dims}")
     d = t.d
     ycores, xcores = frame.left.cores, frame.right.cores
-    # left contractions L[mu]: (l_mu, t_mu), mu = 0..d-1; L[0] = 1
+    # left contractions L[mu]: (l_mu, t_mu), mu = 0..d-1; L[0] = 1, and
+    # the products L[mu] C_mu as (l_mu n_mu, t_{mu+1}) matrices, which
+    # both the next L and Psi_mu take
     lmats = [np.ones((1, 1))]
-    for k in range(d - 1):
-        lmats.append(np.einsum("aic,ab,bid->cd", ycores[k], lmats[k], t.cores[k], optimize=True))
+    lc = []
+    for k in range(d):
+        c = t.cores[k]
+        lc.append((lmats[k] @ c.reshape(c.shape[0], -1)).reshape(-1, c.shape[2]))
+        if k < d - 1:
+            y = ycores[k]
+            lmats.append(y.reshape(-1, y.shape[2]).T @ lc[k])
     # right contractions R[mu]: (t_mu, r_mu), mu = 1..d; R[d] = 1
     rmats = [None] * (d + 1)
     rmats[d] = np.ones((1, 1))
     for k in range(d - 1, 0, -1):
-        rmats[k] = np.einsum("lio,xip,op->lx", t.cores[k], xcores[k], rmats[k + 1], optimize=True)
-    psi = []
-    for mu in range(d):
-        p = np.einsum("ab,bic,cx->aix", lmats[mu], t.cores[mu], rmats[mu + 1], optimize=True)
-        psi.append(p.reshape(-1, p.shape[2]))
+        c, x = t.cores[k], xcores[k]
+        cr = (c.reshape(-1, c.shape[2]) @ rmats[k + 1]).reshape(c.shape[0], -1)
+        rmats[k] = cr @ x.reshape(x.shape[0], -1).T
+    psi = [lc[mu] @ rmats[mu + 1] for mu in range(d)]
     omega = [lmats[mu] @ rmats[mu] for mu in range(1, d)]
     return SketchPair(psi, omega, t.dims)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgeqrf
 
 # Entry cap for densification helpers; keeps oracles at desk scale.
 DENSE_CAP = 1_000_000
@@ -25,6 +26,10 @@ class ShapeMismatch(ValueError):
 
 class SizeLimit(ValueError):
     """A dense materialization would exceed the configured entry cap."""
+
+
+class NonFiniteCore(ValueError):
+    """A core holds a NaN or infinite entry."""
 
 
 @dataclass(frozen=True)
@@ -201,12 +206,17 @@ def tt_op_to_dense(a: TTOperator, max_entries: int = DENSE_CAP) -> np.ndarray:
 
 
 def _truncation_rank(sv: np.ndarray, budget: float) -> int:
-    """Smallest rank whose discarded tail has Frobenius mass <= budget."""
-    if sv.size == 0:
+    """Smallest rank whose discarded tail has Frobenius mass <= budget.
+
+    `sv` is sorted descending; the tail is summed relative to sv[0], so
+    no square overflows or underflows.
+    """
+    if sv.size == 0 or sv[0] == 0:
         return 1
-    tail = np.sqrt(np.maximum(np.cumsum(sv[::-1] ** 2)[::-1], 0.0))
-    # tail[r] = norm of sv[r:]; keep minimal r with tail[r] <= budget
-    ok = np.nonzero(tail <= budget)[0]
+    rel = sv / sv[0]
+    tail = np.sqrt(np.cumsum(rel[::-1] ** 2)[::-1])
+    # tail[r] = norm of sv[r:] / sv[0]; keep minimal r with tail[r] <= budget
+    ok = np.nonzero(tail <= budget / sv[0])[0]
     r = int(ok[0]) if ok.size else sv.size
     return max(r, 1)
 
@@ -295,8 +305,16 @@ def tt_dot(a: TTVector, b: TTVector) -> float:
 
 
 def tt_norm(a: TTVector) -> float:
-    """Frobenius norm of the denoted tensor."""
-    return float(np.sqrt(max(tt_dot(a, a), 0.0)))
+    """Frobenius norm of the denoted tensor.
+
+    Taken from the triangular factors of a right-to-left QR sweep (see
+    tt_round), not as sqrt(tt_dot(a, a)): that square root keeps only
+    half the digits of a difference of nearly equal tensors, and its
+    square overflows once the norm passes about 1e154.
+    """
+    lfac = _right_factors(a.cores)
+    c = a.cores[0]
+    return _norm(c.reshape(-1, c.shape[2]) @ lfac[1])
 
 
 def tt_matvec(a: TTOperator, v: TTVector) -> TTVector:
@@ -317,55 +335,113 @@ def tt_matvec(a: TTOperator, v: TTVector) -> TTVector:
 # ---------------------------------------------------------------------------
 # rounding
 
+# a tensor whose norm is below exp(_ZERO_LOG_RATIO) * ||G_0|| * ||L_1||
+# is cancellation noise (see tt_round)
+_ZERO_LOG_RATIO = np.log(1e-14)
+# below this a plain Frobenius norm may have lost squares to underflow
+_NORM_SAFE_MIN = 1e-100
 
-def _right_orthogonalize(cores):
-    """Sweep right-to-left making cores 1..d-1 row-orthonormal.
 
-    Afterwards the whole norm sits in cores[0].
+def _norm(x: np.ndarray) -> float:
+    """Frobenius norm without overflow or underflow of the squares.
+
+    NaN when x holds a NaN or infinite entry.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        nrm = np.linalg.norm(x)
+    if np.isfinite(nrm) and nrm > _NORM_SAFE_MIN:
+        return float(nrm)
+    peak = np.max(np.abs(x), initial=0.0)
+    if not np.isfinite(peak):
+        return np.nan
+    return float(peak * np.linalg.norm(x / peak)) if peak > 0 else 0.0
+
+
+def _right_factors(cores) -> list:
+    """Triangular factors of the right-to-left QR sweep.
+
+    lfac[k], k = 1..d, is an (r_k, s_k) matrix such that the unfolding of
+    cores k..d-1 equals lfac[k] times a matrix with orthonormal rows;
+    lfac[d] = [[1]].  Only geqrf runs: no Q is formed.
     """
     d = len(cores)
+    lfac = [None] * (d + 1)
+    lfac[d] = np.ones((1, 1))
     for k in range(d - 1, 0, -1):
-        c = cores[k]
-        r0, n, r1 = c.shape
-        q, lt = np.linalg.qr(c.reshape(r0, n * r1).T)
-        rnew = q.shape[1]
-        cores[k] = q.T.reshape(rnew, n, r1)
-        cores[k - 1] = np.tensordot(cores[k - 1], lt.T, axes=([2], [0]))
-    return cores
+        r0, n, r1 = cores[k].shape
+        m = (cores[k].reshape(r0 * n, r1) @ lfac[k + 1]).reshape(r0, -1)
+        # Householder QR of m.T without forming Q; m.T is Fortran-ordered,
+        # so LAPACK works on it in place
+        qr = dgeqrf(m.T, overwrite_a=True)[0]
+        lfac[k] = np.triu(qr[: min(qr.shape)]).T
+    return lfac
+
+
+def check_finite(v: TTVector) -> list[float]:
+    """Check every core for NaN or inf entries; return the core norms.
+
+    Raises NonFiniteCore naming the first core with such an entry.
+    """
+    norms = [_norm(c) for c in v.cores]
+    for k, nrm in enumerate(norms):
+        if not np.isfinite(nrm):
+            raise NonFiniteCore(f"core {k} holds a non-finite entry")
+    return norms
 
 
 def tt_round(v: TTVector, spec: RoundSpec) -> TTVector:
-    """TT-SVD recompression.
+    """TT-SVD recompression from triangular factors only.
 
-    Right-to-left QR sweep, then left-to-right truncated SVDs with a
-    per-mode budget rel_tol*||v||/sqrt(d-1), so the total relative error
-    stays below rel_tol.  A max_rank cap overrides the tolerance where it
-    binds.  Rounding a zero tensor gives the all-zero unit-rank TT.
+    A right-to-left sweep keeps only the R factors of the QR of each
+    core's transposed unfolding: with L_d = [[1]] and, for k = d-1..1,
+    L_k = R_k^T where (G_k x_3 L_{k+1})^T = Q_k R_k, the unfolding of
+    cores k..d-1 equals L_k times a matrix with orthonormal rows that is
+    never formed.  A left-to-right sweep then takes the truncated SVD
+    U S V^T of B_k = (C_k G_k) L_{k+1}, where C_k is the carry
+    (C_0 = [[1]]), keeps U_r as the new core and passes
+    C_{k+1} = U_r^T (C_k G_k) on to the original next core.  Cost: one
+    geqrf per core and no orgqr, so no orthonormal core is ever built.
+
+    Each SVD discards at most rel_tol*||v||/sqrt(d-1) in Frobenius norm,
+    so the total relative error stays below rel_tol; a max_rank cap
+    overrides the tolerance where it binds.  Cores 0..d-2 of the result
+    are left-orthonormal and the norm sits in the last core.
+
+    A zero tensor rounds to the all-zero unit-rank TT, and so does one
+    whose norm is below 1e-14 * ||G_0|| * ||L_1||, the bound its first
+    core and the rest of the chain put on it: such a result is
+    cancellation noise.  Norms are computed without squaring large or
+    small values and compared as logs, so no magnitude that float64 can
+    hold overflows.  A NaN or infinite core raises NonFiniteCore.
     """
+    norms = check_finite(v)
+    if min(norms) == 0:
+        return tt_zero(v.dims)
     d = v.d
     if d == 1:
         return v.copy()
-    # representation scale: ||denoted|| <= prod ||C_k||_F; a result far below
-    # this is cancellation noise and rounds to the exact zero TT
-    scale = 1.0
-    for c in v.cores:
-        scale *= np.linalg.norm(c)
-    cores = _right_orthogonalize([c.copy() for c in v.cores])
-    nrm = np.linalg.norm(cores[0])
-    if nrm == 0 or nrm <= 1e-14 * scale:
-        return tt_zero(v.dims)
-    budget = spec.rel_tol * nrm / np.sqrt(d - 1)
+    cores = v.cores
+    lfac = _right_factors(cores)
+    out = []
+    carry = np.ones((1, 1))
     for k in range(d - 1):
-        c = cores[k]
-        r0, n, r1 = c.shape
-        u, sv, vt = np.linalg.svd(c.reshape(r0 * n, r1), full_matrices=False)
+        r0, n, r1 = cores[k].shape
+        a = (carry @ cores[k].reshape(r0, n * r1)).reshape(-1, r1)
+        u, sv, _ = np.linalg.svd(a @ lfac[k + 1], full_matrices=False)
+        if k == 0:
+            nrm = _norm(sv)
+            bound = (norms[0], _norm(lfac[1]))
+            if nrm == 0 or np.log(nrm) - np.log(bound).sum() <= _ZERO_LOG_RATIO:
+                return tt_zero(v.dims)
+            budget = spec.rel_tol * nrm / np.sqrt(d - 1)
         r = _truncation_rank(sv, budget)
         if spec.max_rank is not None:
             r = min(r, spec.max_rank)
-        cores[k] = u[:, :r].reshape(r0, n, r)
-        carry = sv[:r, None] * vt[:r]
-        cores[k + 1] = np.tensordot(carry, cores[k + 1], axes=([1], [0]))
-    return TTVector(cores)
+        out.append(u[:, :r].reshape(-1, n, r))
+        carry = u[:, :r].T @ a
+    r0, n, _ = cores[-1].shape
+    out.append((carry @ cores[-1].reshape(r0, n)).reshape(-1, n, 1))
+    return TTVector(out)
 
 
 def max_rank(v) -> int:

@@ -22,6 +22,7 @@ from ttkrylov.solvers import (
 )
 from ttkrylov.streaming import StreamFrame
 from ttkrylov.tt import (
+    NonFiniteCore,
     RoundSpec,
     identity_operator,
     tt_add,
@@ -279,3 +280,31 @@ class TestPreconditionedSolver:
         assert rep.converged
         assert rep.iterations <= 6
         assert true_residual(op, rhs, x) <= 1e-7
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("solver", ["gmres", "sgmres", "sgmres-stta", "spgmres"])
+    def test_nan_rhs_rejected(self, solver):
+        op, rhs = _small_problem()
+        rhs = rhs.copy()  # the problem's rhs cores may share one buffer
+        rhs.cores[1][0, 2, 0] = np.nan
+        mode = "stta" if solver == "sgmres-stta" else "explicit"
+        cfg = SolverConfig(maxit=10, tol=1e-6, seed=0, combine_mode=mode)
+        s = kr_sketch_new(rhs.dims, cfg.sketch_rows, seed=1)
+        with pytest.raises(NonFiniteCore, match="core 1"):
+            if solver == "gmres":
+                tt_gmres(op, rhs, None, cfg)
+            elif solver == "spgmres":
+                pre = ExpSumPreconditioner.from_kron_sum(
+                    cd_factor_matrices(ConvectionDiffusionSpec(d=3, n=5)), 3, RoundSpec(1e-8)
+                )
+                tt_spgmres(op, pre, rhs, None, cfg, s)
+            else:
+                tt_sgmres(op, rhs, None, cfg, s)
+
+    def test_inf_initial_guess_rejected(self):
+        op, rhs = _small_problem()
+        x0 = tt_random(rhs.dims, [2, 2], seed=2)
+        x0.cores[0][0, 0, 0] = np.inf
+        with pytest.raises(NonFiniteCore, match="core 0"):
+            tt_gmres(op, rhs, x0, SolverConfig(maxit=10, tol=1e-6))

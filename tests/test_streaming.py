@@ -44,6 +44,25 @@ def interface_right(cores, mu):
     return m
 
 
+def _reference_sketch(t, frame):
+    # the einsum form of stream_sketch, kept as its reference
+    d = t.d
+    ycores, xcores = frame.left.cores, frame.right.cores
+    lmats = [np.ones((1, 1))]
+    for k in range(d - 1):
+        lmats.append(np.einsum("aic,ab,bid->cd", ycores[k], lmats[k], t.cores[k], optimize=True))
+    rmats = [None] * (d + 1)
+    rmats[d] = np.ones((1, 1))
+    for k in range(d - 1, 0, -1):
+        rmats[k] = np.einsum("lio,xip,op->lx", t.cores[k], xcores[k], rmats[k + 1], optimize=True)
+    psi = []
+    for mu in range(d):
+        p = np.einsum("ab,bic,cx->aix", lmats[mu], t.cores[mu], rmats[mu + 1], optimize=True)
+        psi.append(p.reshape(-1, p.shape[2]))
+    omega = [lmats[mu] @ rmats[mu] for mu in range(1, d)]
+    return psi, omega
+
+
 class TestDRM:
     def test_rank_one_profile(self):
         drm = tt_drm_new([3, 4, 5], [1, 1], seed=0)
@@ -101,6 +120,25 @@ class TestSketch:
             xr = interface_right(frame.right.cores, mu)
             want = yl.T @ unf @ xr
             assert np.allclose(pair.omega[mu - 1], want, atol=1e-11), f"omega mismatch at mode {mu}"
+
+    @pytest.mark.parametrize(
+        "dims, frame_ranks, ranks",
+        [
+            ([5], [], []),
+            ([6, 7], [3], [4]),
+            ([4, 5, 3, 6], [3, 5, 2], [4, 7, 3]),
+            ([8, 3, 8], [2, 2], [6, 6]),
+        ],
+    )
+    def test_matches_einsum_reference(self, dims, frame_ranks, ranks):
+        frame = StreamFrame.create(dims, frame_ranks, oversampling=3, seed=31)
+        t = tt_random(dims, ranks, seed=32)
+        pair = stream_sketch(t, frame)
+        psi, omega = _reference_sketch(t, frame)
+        assert len(pair.psi) == len(psi) and len(pair.omega) == len(omega)
+        for got, want in zip(pair.psi + pair.omega, psi + omega):
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_dim_mismatch(self):
         frame = StreamFrame.create([3, 3], [2], oversampling=2, seed=8)

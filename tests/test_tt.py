@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttkrylov.tt import (
+    NonFiniteCore,
     RoundSpec,
     ShapeMismatch,
     SizeLimit,
@@ -29,6 +32,7 @@ from ttkrylov.tt import (
     tt_to_dense,
     tt_zero,
 )
+from ttkrylov.tt import _truncation_rank
 
 
 def dense_kron_sum(factors):
@@ -189,6 +193,29 @@ class TestDotNorm:
             a = tt_random([4, 4, 4], [3, 3], seed=seed + 20)
             assert abs(tt_norm(a) ** 2 - tt_dot(a, a)) <= 1e-10 * tt_norm(a) ** 2
 
+    def test_norm_of_near_cancelling_difference(self):
+        # (g + 1e-10 c) - a, where g is a with an orthogonal gauge between
+        # cores 0 and 1: the same tensor in other cores, so the difference
+        # cancels only up to roundoff, and sqrt(tt_dot) reads about
+        # 25 times the true norm
+        a = tt_random([4, 5, 4], [3, 3], seed=11)
+        c = tt_random([4, 5, 4], [2, 2], seed=12)
+        q = np.linalg.qr(np.random.default_rng(13).standard_normal((3, 3)))[0]
+        g = TTVector(
+            [
+                np.tensordot(a.cores[0], q, axes=([2], [0])),
+                np.tensordot(q.T, a.cores[1], axes=([1], [0])),
+                a.cores[2],
+            ]
+        )
+        diff = tt_add(tt_add(g, tt_scale(c, 1e-10)), tt_scale(a, -1.0))
+        assert tt_norm(diff) == pytest.approx(1e-10 * np.linalg.norm(tt_to_dense(c)), rel=1e-4)
+
+    def test_norm_beyond_squared_overflow(self):
+        # norm (2e20)**10 ~ 1e203: its square is not a float64
+        a = tt_rank_one([np.full(4, 1e20)] * 10)
+        assert tt_norm(a) == pytest.approx(2e20**10, rel=1e-12)
+
 
 class TestMatvec:
     def test_identity(self):
@@ -273,6 +300,146 @@ class TestRound:
         a = TTVector([np.arange(4.0).reshape(1, 4, 1)])
         r = tt_round(a, RoundSpec(1e-2))
         assert np.array_equal(tt_to_dense(r), tt_to_dense(a))
+
+
+def _reference_round(v, spec):
+    # explicit-Q TT-SVD: right-to-left QR sweep forming orthonormal cores,
+    # then left-to-right truncated SVDs carrying S V^T forward
+    d = v.d
+    if d == 1:
+        return v.copy()
+    cores = [c.copy() for c in v.cores]
+    scale = np.prod([np.linalg.norm(c) for c in cores])
+    for k in range(d - 1, 0, -1):
+        r0, n, r1 = cores[k].shape
+        q, lt = np.linalg.qr(cores[k].reshape(r0, n * r1).T)
+        cores[k] = q.T.reshape(q.shape[1], n, r1)
+        cores[k - 1] = np.tensordot(cores[k - 1], lt.T, axes=([2], [0]))
+    nrm = np.linalg.norm(cores[0])
+    if nrm == 0 or nrm <= 1e-14 * scale:
+        return tt_zero(v.dims)
+    budget = spec.rel_tol * nrm / np.sqrt(d - 1)
+    for k in range(d - 1):
+        r0, n, r1 = cores[k].shape
+        u, sv, vt = np.linalg.svd(cores[k].reshape(r0 * n, r1), full_matrices=False)
+        r = _truncation_rank(sv, budget)
+        if spec.max_rank is not None:
+            r = min(r, spec.max_rank)
+        cores[k] = u[:, :r].reshape(r0, n, r)
+        cores[k + 1] = np.tensordot(sv[:r, None] * vt[:r], cores[k + 1], axes=([1], [0]))
+    return TTVector(cores)
+
+
+def _left_orthonormality_gap(v):
+    gap = 0.0
+    for c in v.cores[:-1]:
+        m = c.reshape(-1, c.shape[2])
+        gap = max(gap, np.max(np.abs(m.T @ m - np.eye(m.shape[1]))))
+    return gap
+
+
+def _round_cases():
+    # (name, tensor, spec): generic sums, d=2, wide cores, binding caps,
+    # near-cancelling sums
+    a = tt_random([4, 5, 4, 3], [3, 4, 3], seed=40)
+    b = tt_random([4, 5, 4, 3], [2, 3, 2], seed=41)
+    wide = TTVector([np.ones((1, 1, 6)), np.random.default_rng(42).standard_normal((6, 2, 1))])
+    wide_mid = tt_add(tt_random([3, 2, 2, 3], [3, 2, 3], seed=43), tt_random([3, 2, 2, 3], [3, 4, 3], seed=44))
+    c = tt_random([5, 4, 5], [3, 3], seed=45)
+    return [
+        ("sum", tt_add(a, tt_scale(b, 0.7)), RoundSpec(1e-6)),
+        ("sum-loose", tt_add(a, tt_scale(b, 0.01)), RoundSpec(1e-2)),
+        ("d2", tt_add(tt_random([7, 9], [4], seed=46), tt_random([7, 9], [3], seed=47)), RoundSpec(1e-8)),
+        ("wide-d2", wide, RoundSpec(1e-10)),
+        ("wide-mid", wide_mid, RoundSpec(1e-8)),
+        ("cap", tt_add(a, b), RoundSpec(1e-10, max_rank=2)),
+        ("cancel", tt_add(c, tt_scale(c, -(1 - 1e-9))), RoundSpec(1e-5)),
+    ]
+
+
+class TestRoundAgainstReference:
+    @pytest.mark.parametrize("case", _round_cases(), ids=lambda c: c[0])
+    def test_matches_explicit_q_rounding(self, case):
+        _, v, spec = case
+        got, ref = tt_round(v, spec), _reference_round(v, spec)
+        assert got.ranks == ref.ranks
+        dense, nrm = tt_to_dense(v), tt_norm(v)
+        assert np.linalg.norm(tt_to_dense(got) - tt_to_dense(ref)) <= 2 * spec.rel_tol * nrm
+        if spec.max_rank is None:
+            assert np.linalg.norm(tt_to_dense(got) - dense) <= spec.rel_tol * nrm
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=st.lists(st.integers(1, 5), min_size=2, max_size=5),
+        data=st.data(),
+        rel_tol=st.sampled_from([0.0, 1e-10, 1e-4, 1e-1, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_contract_against_dense(self, dims, data, rel_tol, seed):
+        ranks = data.draw(st.lists(st.integers(1, 4), min_size=len(dims) - 1, max_size=len(dims) - 1))
+        v = tt_add(tt_random(dims, ranks, seed=seed), tt_random(dims, ranks[::-1], seed=seed + 1))
+        r = tt_round(v, RoundSpec(rel_tol))
+        dense = tt_to_dense(v)
+        nrm = np.linalg.norm(dense)
+        assert np.linalg.norm(tt_to_dense(r) - dense) <= rel_tol * nrm + 1e-12 * nrm
+        assert _left_orthonormality_gap(r) <= 1e-12
+        assert np.linalg.norm(r.cores[-1]) == pytest.approx(np.linalg.norm(tt_to_dense(r)), rel=1e-12)
+
+
+def _two_rank_one_terms(d, entry):
+    # rank-1 terms of norm (2*entry)**d and half that, at an angle of 60
+    # degrees in every mode; interior cores of the sum have norm
+    # 2*sqrt(2)*entry, so the core-norm product exceeds ||v|| by ~2**(d/2)
+    u = np.array([1.0, 1.0, 1.0, 1.0]) * entry
+    w = np.array([1.0, 1.0, 1.0, -1.0]) * entry
+    return tt_add(tt_rank_one([u] * d), tt_rank_one([w / 2] + [w] * (d - 1)))
+
+
+class TestRoundExtremeMagnitudes:
+    @pytest.mark.parametrize("entry", [0.25, 1.0, 9.0])
+    def test_long_sum_keeps_rank_two(self, entry):
+        # at entry 9 the core-norm product is ~1e210 and ||v||**2 overflows
+        v = _two_rank_one_terms(d=150, entry=entry)
+        r = tt_round(v, RoundSpec(1e-8))
+        assert r.ranks == (1,) + (2,) * 149 + (1,)
+        # ||v||**2 = (2*entry)**300 * (1 + 1/4 + 2**-150), taken in logs
+        last = r.cores[-1]
+        peak = np.max(np.abs(last))
+        log_norm = np.log(peak) + np.log(np.linalg.norm(last / peak))
+        assert log_norm == pytest.approx(150 * np.log(2 * entry) + 0.5 * np.log(1.25), abs=1e-10)
+
+    def test_power_of_two_scaling_commutes(self):
+        v = _two_rank_one_terms(d=150, entry=9.0)
+        scaled = tt_scale(v, 2.0**-700)
+        r, rs = tt_round(v, RoundSpec(1e-8)), tt_round(scaled, RoundSpec(1e-8))
+        assert r.ranks == rs.ranks
+        # cores 0..d-2 are orthonormal, so their entries compare absolutely
+        for k in range(v.d - 1):
+            assert np.max(np.abs(rs.cores[k] - r.cores[k])) <= 1e-10
+        last = r.cores[-1] * 2.0**-700
+        assert np.linalg.norm(rs.cores[-1] - last) <= 1e-10 * np.linalg.norm(last)
+
+    def test_tiny_tensor_is_not_zero(self):
+        v = tt_scale(tt_random([3, 4, 3], [2, 2], seed=48), 1e-200)
+        r = tt_round(v, RoundSpec(1e-12))
+        assert r.ranks == (1, 2, 2, 1)
+        assert tt_to_dense(r) == pytest.approx(tt_to_dense(v), rel=1e-10, abs=0)
+
+
+class TestRoundNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected_with_core_named(self, bad):
+        v = tt_random([3, 3, 3], [2, 2], seed=49)
+        v.cores[1][0, 1, 0] = bad
+        with pytest.raises(NonFiniteCore, match="core 1"):
+            tt_round(v, RoundSpec(1e-8))
+
+    def test_d1_rejected(self):
+        with pytest.raises(NonFiniteCore):
+            tt_round(TTVector([np.array([np.nan, 1.0]).reshape(1, 2, 1)]), RoundSpec(0.0))
+
+    def test_is_value_error(self):
+        assert issubclass(NonFiniteCore, ValueError)
 
 
 class TestOperatorArithmetic:
