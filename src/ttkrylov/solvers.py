@@ -13,6 +13,10 @@ Four variants share one reporting format:
                            resident, the solution is recovered from
                            accumulated streaming sketches.
 * ``tt_spgmres``        -- right-preconditioned ``tt_sgmres``.
+
+The sketched variants stop, unconverged, at a numerical breakdown: when the
+newest column of the sketched basis lies in the span of the earlier ones to
+within the least-squares cutoff, the Krylov space has stopped growing.
 """
 
 from __future__ import annotations
@@ -408,6 +412,12 @@ class _SketchedRun:
             t0 = time.perf_counter()
             w = np.stack(self.w_cols, axis=1)
             y, res, sv = _lsq_svd(w, sr0)
+            # a column the least squares cannot resolve from the earlier ones
+            # means the truncated recurrence has stopped adding directions;
+            # past it the fit only absorbs rounding noise
+            stalled = k > 1 and (
+                _lsq_svd(w[:, :-1], w[:, -1])[1] <= _LSQ_RCOND * np.linalg.norm(w[:, -1])
+            )
             self.timer.add("lsq", t0)
             if sv.size and sv[-1] < _CONDITION_WATERMARK * sv[0]:
                 msg = f"iteration {k}: sketched basis nearly rank-deficient"
@@ -428,9 +438,11 @@ class _SketchedRun:
             hit = res <= nb_sketch * cfg.tol
             if hit:
                 converged = True
-            if (hit and not cfg.force_iterations) or lucky:
+            if ((hit or stalled) and not cfg.force_iterations) or lucky:
                 if lucky:
                     converged = True
+                elif not hit:
+                    self.report.warnings.append(f"iteration {k}: sketched basis stopped growing")
                 break
         x = self.assemble(y)
         self.timer.flush()

@@ -209,6 +209,26 @@ class TestTTsGMRES:
         assert rep.iterations == 3
         assert x.dims == rhs.dims
 
+    def test_stops_when_basis_stops_growing(self):
+        # tol below what double precision attains: once the residual sits
+        # at roundoff, new sketched columns repeat the span of the old ones
+        op, rhs = _small_problem()
+        cfg = SolverConfig(maxit=120, tol=1e-14, ell=1, seed=12)
+        s = kr_sketch_new(rhs.dims, cfg.sketch_rows, seed=13)
+        x, rep = tt_sgmres(op, rhs, None, cfg, s)
+        assert not rep.converged
+        assert rep.iterations < cfg.maxit
+        assert rep.warnings[-1] == f"iteration {rep.iterations}: sketched basis stopped growing"
+        assert rep.res_sketched[-1] < 1e-12
+        assert true_residual(op, rhs, x) < 1e-11
+
+    def test_forced_iterations_run_past_breakdown(self):
+        op, rhs = _small_problem()
+        cfg = SolverConfig(maxit=40, tol=1e-14, ell=1, seed=12, force_iterations=True)
+        s = kr_sketch_new(rhs.dims, cfg.sketch_rows, seed=13)
+        _, rep = tt_sgmres(op, rhs, None, cfg, s)
+        assert rep.iterations == 40
+
 
 class TestVanilla:
     def test_identity(self):
