@@ -5,7 +5,6 @@ from .precond import (
     expsum_coeffs,
     matrix_exp,
     mode_multiply,
-    precond_apply,
     spectral_interval,
 )
 from .problems import (

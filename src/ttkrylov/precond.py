@@ -62,11 +62,6 @@ def _minimax_weights(z, beta):
     return res.x[:m] / scale, float(res.x[m])
 
 
-def _quadrature_weights(beta, h):
-    # plain truncated-trapezoid weights for nodes beta_j = exp(s_j)
-    return h * beta
-
-
 def expsum_coeffs(lambda_min: float, lambda_max: float, zeta: int):
     """Exponential-sum coefficients for 1/z on [lambda_min, lambda_max].
 
@@ -106,7 +101,7 @@ def expsum_coeffs(lambda_min: float, lambda_max: float, zeta: int):
         alpha, sig = _minimax_weights(z, beta)
         if alpha is None:
             h = (v - u + np.log(hi / lo)) / max(zeta - 1, 1)
-            alpha = _quadrature_weights(beta, h)
+            alpha = h * beta  # plain truncated-trapezoid weights
             sig = float(np.max(np.abs(_eval_relerr(z, alpha, beta))))
         return alpha, beta, sig
 
@@ -276,8 +271,3 @@ class ExpSumPreconditioner:
         pairs = [stream_sketch(t, frame) for t in terms]
         comb = combine_pairs(pairs, [1.0] * len(pairs))
         return stream_recover(comb, self.spec)
-
-
-def precond_apply(p: ExpSumPreconditioner, v: TTVector) -> TTVector:
-    """Apply the exponential-sum approximate inverse to a TT vector."""
-    return p.apply_inverse(v)

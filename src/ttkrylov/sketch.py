@@ -22,13 +22,12 @@ class KhatriRaoSketch:
     entries of each row have variance 1/s, so E||Sv||^2 = ||v||^2.
     """
 
-    def __init__(self, factors, seed=None):
+    def __init__(self, factors):
         self.factors = [np.asarray(f, dtype=np.float64) for f in factors]
         rows = {f.shape[0] for f in self.factors}
         if len(rows) != 1:
             raise ShapeMismatch("all factors must have the same row count")
         self.rows = rows.pop()
-        self.seed = seed
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -44,7 +43,7 @@ def kr_sketch_new(dims, rows: int, seed=0) -> KhatriRaoSketch:
     std = float(rows) ** (-0.5 / d)
     rng = np.random.default_rng(seed)
     factors = [rng.normal(0.0, std, size=(rows, n)) for n in dims]
-    return KhatriRaoSketch(factors, seed=seed)
+    return KhatriRaoSketch(factors)
 
 
 def kr_apply(s: KhatriRaoSketch, v: TTVector) -> np.ndarray:

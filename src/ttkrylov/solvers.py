@@ -1,6 +1,6 @@
 """Krylov solvers for TT linear systems.
 
-Four variants share one reporting format:
+Four variants run one driver loop (``_krylov``) and share one report format:
 
 * ``tt_gmres``          -- full orthogonalization, relaxed rounding,
                            Hessenberg least squares (Givens updated).
@@ -14,7 +14,25 @@ Four variants share one reporting format:
                            accumulated streaming sketches.
 * ``tt_spgmres``        -- right-preconditioned ``tt_sgmres``.
 
-The sketched variants stop, unconverged, at a numerical breakdown: when the
+Each iteration expands the newest basis vector by one matvec (after P^{-1}
+when preconditioned) and passes the result through three parts:
+
+* orthogonalize and round: modified Gram-Schmidt against a window of basis
+  vectors.  ``tt_gmres`` orthogonalizes against the whole basis and rounds
+  A v and every step at the relaxed tolerance eta_k * tol.  The sketched
+  variants orthogonalize against the last ell vectors and round once, at
+  eta * tol, after the last step; with ``combine_mode="stta"`` they form the
+  combination from the sketch pairs and recover it instead.
+* least squares: ``_HessenbergLsq`` (Givens-updated QR of the Hessenberg
+  matrix) or ``_SketchedLsq`` (SVD least squares on the sketched basis).
+* assembly: ``_RoundedSum`` (x0 + sum_i y_i v_i by sequential rounded
+  additions over the stored basis) or ``_StreamedSum`` (one recovery from
+  the combined sketch pairs, then P^{-1} when preconditioned).
+
+A lucky breakdown ends the run as converged: the orthogonalized vector
+vanishes next to ||A v||, which is taken from the Hessenberg column as
+sqrt(sum_i h_ik^2 + h_new^2) (the window vectors are orthonormal).  The
+sketched variants also stop, unconverged, at a numerical breakdown: when the
 newest column of the sketched basis lies in the span of the earlier ones to
 within the least-squares cutoff, the Krylov space has stopped growing.
 """
@@ -41,6 +59,7 @@ from .tt import (
     tt_norm,
     tt_round,
     tt_scale,
+    tt_zero,
 )
 
 PHASES = ("matvec", "sketch", "orth", "round", "lsq", "recovery")
@@ -86,7 +105,13 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
-    """Per-iteration history plus run-level outcomes of one solve."""
+    """Per-iteration history plus run-level outcomes of one solve.
+
+    ``basis_rank[k]`` is the largest TT rank of the newest basis vector
+    after iteration k+1 (the previous one after a lucky breakdown).  The
+    histories and ``times[p]`` have one entry per iteration; the final
+    assembly's time is added to the last ``times["recovery"]`` entry.
+    """
 
     converged: bool = False
     iterations: int = 0
@@ -115,28 +140,32 @@ class _PhaseTimer:
     def add(self, phase, t0):
         self.current[phase] += time.perf_counter() - t0
 
-    def flush(self):
+    def timed(self, phase, fn, *args):
+        t0 = time.perf_counter()
+        out = fn(*args)
+        self.add(phase, t0)
+        return out
+
+    def flush(self, fold=False):
+        """Close one row of phase times; ``fold`` adds it to the last row."""
         for p in PHASES:
-            self.report.times[p].append(self.current[p])
+            if fold:
+                self.report.times[p][-1] += self.current[p]
+            else:
+                self.report.times[p].append(self.current[p])
             self.current[p] = 0.0
 
 
 def sketched_lsq(w: np.ndarray, rhs: np.ndarray):
     """Least-squares coefficients through the SVD pseudo-inverse.
 
-    Returns (y, residual_norm) for min_y ||w y - rhs||; the relative
-    singular-value cutoff is 1e-12.
+    Returns (y, residual_norm, singular_values) for min_y ||w y - rhs||;
+    the relative singular-value cutoff is 1e-12.
     """
-    y, res, sv = _lsq_svd(w, rhs)
-    return y, res
-
-
-def _lsq_svd(w, rhs):
     if w.ndim != 2 or w.shape[0] < w.shape[1]:
         raise ValueError("need a tall (s >= k) matrix")
     y, _, _, sv = np.linalg.lstsq(w, rhs, rcond=_LSQ_RCOND)
-    res = float(np.linalg.norm(w @ y - rhs))
-    return y, res, sv
+    return y, float(np.linalg.norm(w @ y - rhs)), sv
 
 
 def true_residual(a: TTOperator, b: TTVector, x: TTVector) -> float:
@@ -164,91 +193,30 @@ def _is_zero(v: TTVector | None) -> bool:
     return v is None or all(np.all(c == 0) for c in v.cores)
 
 
-def _check_inputs(b, x0):
-    check_finite(b)
-    if x0 is not None:
-        check_finite(x0)
-
-
-def _initial_residual(a, b, x0):
-    if _is_zero(x0):
-        return b.copy()
-    return tt_add(b, tt_scale(tt_matvec(a, x0), -1.0))
-
-
 # ---------------------------------------------------------------------------
-# TT-GMRES (full orthogonalization, relaxed truncation)
+# least squares: update(column) -> (residual, stalled); coefficients() -> y
 
 
-def tt_gmres(a: TTOperator, b: TTVector, x0: TTVector | None, cfg: SolverConfig):
-    """Classic GMRES in TT arithmetic.
+class _HessenbergLsq:
+    """min_y ||beta e_1 - H y||, H rotated to triangular by Givens as it grows."""
 
-    Matvec results and Gram-Schmidt updates are rounded at eta_k * tol
-    with the relaxation eta_k = tol / rel_res_{k-1} (clamped to
-    [1e-14, 1]); y_k comes from the Givens-updated QR of the Hessenberg
-    matrix; the solution is accumulated by sequential rounded additions.
-    """
-    _check_inputs(b, x0)
-    t_start = time.perf_counter()
-    report = SolveReport(seed=cfg.seed)
-    nb = tt_norm(b)
-    r0 = _initial_residual(a, b, x0)
-    beta = tt_norm(r0)
-    if beta == 0 or nb == 0:
-        report.converged = True
-        return (x0.copy() if x0 is not None else b.copy()), report
-    basis = [tt_scale(r0, 1.0 / beta)]
-    maxit = cfg.maxit
-    h = np.zeros((maxit + 1, maxit))
-    cos = np.zeros(maxit)
-    sin = np.zeros(maxit)
-    g = np.zeros(maxit + 1)
-    g[0] = beta
-    rel_res = beta / nb
-    timer = _PhaseTimer(report)
-    k_done = 0
-    converged = False
+    def __init__(self, maxit, beta, nb):
+        self.h = np.zeros((maxit + 1, maxit))
+        self.cos = np.zeros(maxit)
+        self.sin = np.zeros(maxit)
+        self.g = np.zeros(maxit + 1)
+        self.g[0] = beta
+        self.scale = nb  # residuals are relative to ||b||
+        self.k = 0
 
-    def assemble(k):
-        t0 = time.perf_counter()
-        # back substitution on the rotated Hessenberg system
-        hh = h[:k, :k].copy()
-        gg = g[:k].copy()
-        y = np.zeros(k)
-        for i in range(k - 1, -1, -1):
-            y[i] = (gg[i] - hh[i, i + 1 :] @ y[i + 1 :]) / hh[i, i]
-        x = x0.copy() if not _is_zero(x0) else None
-        for i in range(k):
-            term = tt_scale(basis[i], float(y[i]))
-            x = term if x is None else tt_round(tt_add(x, term), RoundSpec(cfg.tol))
-        timer.current["recovery"] += time.perf_counter() - t0
-        return x
+    def image(self, w):
+        """A v itself is not needed: H holds its coefficients."""
 
-    for k in range(1, maxit + 1):
+    def update(self, col):
+        k = self.k = len(col) - 1
         kk = k - 1
-        eta_k = min(max(cfg.tol / rel_res, _BREAKDOWN_FACTOR), 1.0)
-        delta = eta_k * cfg.tol
-        t0 = time.perf_counter()
-        w = tt_matvec(a, basis[-1])
-        timer.add("matvec", t0)
-        # the norm is not rounding work; _SketchedRun leaves it untimed too
-        norm_av = tt_norm(w)
-        t0 = time.perf_counter()
-        w = tt_round(w, RoundSpec(delta, cfg.max_rank))
-        timer.add("round", t0)
-        t0 = time.perf_counter()
-        for i in range(k):
-            hik = tt_dot(w, basis[i])
-            h[i, kk] = hik
-            w = tt_round(tt_add(w, tt_scale(basis[i], -hik)), RoundSpec(delta, cfg.max_rank))
-        timer.add("orth", t0)
-        hnew = tt_norm(w)
-        h[k, kk] = hnew
-        lucky = hnew <= _BREAKDOWN_FACTOR * norm_av
-        if not lucky:
-            basis.append(tt_scale(w, 1.0 / hnew))
-        t0 = time.perf_counter()
-        # Givens update of column kk
+        h, cos, sin, g = self.h, self.cos, self.sin, self.g
+        h[: k + 1, kk] = col
         for i in range(kk):
             tmp = cos[i] * h[i, kk] + sin[i] * h[i + 1, kk]
             h[i + 1, kk] = -sin[i] * h[i, kk] + cos[i] * h[i + 1, kk]
@@ -260,237 +228,223 @@ def tt_gmres(a: TTOperator, b: TTVector, x0: TTVector | None, cfg: SolverConfig)
         h[k, kk] = 0.0
         g[k] = -sin[kk] * g[kk]
         g[kk] = cos[kk] * g[kk]
-        res_est = abs(g[k])
-        timer.add("lsq", t0)
-        rel_res = max(res_est / nb, 1e-300)
-        report.res_sketched.append(rel_res)
-        report.basis_rank.append(max(basis[-1].ranks))
-        report.max_resident_basis = max(report.max_resident_basis, len(basis))
-        k_done = k
-        if cfg.track_true_residual:
-            x_k = assemble(k)
-            if report.res_true is None:
-                report.res_true = []
-            report.res_true.append(true_residual(a, b, x_k))
-        timer.flush()
-        hit = res_est <= nb * cfg.tol or lucky
-        if hit:
-            converged = True
-        if (hit and not cfg.force_iterations) or lucky:
-            break
+        return abs(g[k]), False
 
-    x = assemble(k_done)
-    timer.flush()
-    report.converged = converged
-    report.iterations = k_done
-    report.wall_time = time.perf_counter() - t_start
-    _trim_timer_tail(report, k_done)
-    return x, report
+    def coefficients(self):
+        # back substitution on the rotated system
+        k, h = self.k, self.h
+        y = np.zeros(k)
+        for i in range(k - 1, -1, -1):
+            y[i] = (self.g[i] - h[i, i + 1 : k] @ y[i + 1 :]) / h[i, i]
+        return y
 
 
-def _trim_timer_tail(report, k_done):
-    # the assemble() after the loop appended one extra timing row; fold it
-    # into the last iteration's row
-    for p in PHASES:
-        lst = report.times[p]
-        while len(lst) > k_done and len(lst) > 1:
-            extra = lst.pop()
-            lst[-1] += extra
+class _SketchedLsq:
+    """min_y ||S A V y - S r0|| on the sketched basis; residuals relative to ||S b||."""
+
+    def __init__(self, sketch, b, r0, timer, warnings):
+        self.sketch, self.timer, self.warnings = sketch, timer, warnings
+        self.scale = float(np.linalg.norm(timer.timed("sketch", kr_apply, sketch, b)))
+        self.rhs = timer.timed("sketch", kr_apply, sketch, r0)
+        self.cols = []
+
+    def image(self, w):
+        self.cols.append(self.timer.timed("sketch", kr_apply, self.sketch, w))
+
+    def update(self, col):
+        m = np.stack(self.cols, axis=1)
+        self.y, res, sv = sketched_lsq(m, self.rhs)
+        # a column the least squares cannot resolve from the earlier ones
+        # means the truncated recurrence has stopped adding directions;
+        # past it the fit only absorbs rounding noise
+        stalled = m.shape[1] > 1 and (
+            sketched_lsq(m[:, :-1], m[:, -1])[1] <= _LSQ_RCOND * np.linalg.norm(m[:, -1])
+        )
+        if sv[-1] < _CONDITION_WATERMARK * sv[0] and not self.warnings:
+            self.warnings.append(f"iteration {m.shape[1]}: sketched basis nearly rank-deficient")
+        return res, stalled
+
+    def coefficients(self):
+        return self.y
 
 
 # ---------------------------------------------------------------------------
-# sketched solvers
+# assembly: add(basis vector); solution(y) -> x
 
 
-class _SketchedRun:
-    """Shared machinery of the sketched GMRES variants."""
+class _RoundedSum:
+    """x0 + sum_i y_i v_i by sequential additions rounded at tol; keeps every v_i."""
 
-    def __init__(self, a, b, x0, cfg, sketch, frame=None, precond=None,
-                 keep_full_basis=False):
-        if sketch.dims != b.dims:
-            raise ShapeMismatch("sketch dims do not match the right-hand side")
-        if a.col_dims != b.dims or a.row_dims != b.dims:
-            raise ShapeMismatch("operator dims do not match the right-hand side")
-        _check_inputs(b, x0)
-        self.a, self.b, self.cfg = a, b, cfg
-        self.sketch = sketch
-        self.frame = frame
-        self.precond = precond
-        self.keep_full_basis = keep_full_basis
-        self.x0 = None if _is_zero(x0) else x0
-        self.report = SolveReport(seed=cfg.seed)
-        self.timer = _PhaseTimer(self.report)
-        self.window = []  # (global index, TTVector)
-        self.basis = []  # vanilla only: all basis vectors
-        self.w_cols = []
-        self.pairs = []  # one SketchPair per basis vector, when framed
-        self.h = np.zeros((cfg.maxit + 1, cfg.maxit))
+    def __init__(self, x0, tol):
+        self.x0, self.spec, self.basis = x0, RoundSpec(tol), []
 
-    def expand(self, v):
-        t0 = time.perf_counter()
-        u = self.precond.apply_inverse(v) if self.precond is not None else v
-        w = tt_matvec(self.a, u)
-        self.timer.add("matvec", t0)
-        return w
+    def add(self, v):
+        self.basis.append(v)
 
-    def sketch_vec(self, v):
-        t0 = time.perf_counter()
-        out = kr_apply(self.sketch, v)
-        self.timer.add("sketch", t0)
-        return out
-
-    def pair_of(self, v):
-        t0 = time.perf_counter()
-        p = stream_sketch(v, self.frame)
-        self.timer.add("sketch", t0)
-        return p
-
-    def run(self):
-        cfg = self.cfg
-        t_start = time.perf_counter()
-        nb_sketch = float(np.linalg.norm(self.sketch_vec(self.b)))
-        r0 = _initial_residual(self.a, self.b, self.x0)
-        beta = tt_norm(r0)
-        if beta == 0 or nb_sketch == 0:
-            self.report.converged = True
-            return (self.x0.copy() if self.x0 is not None else self.b.copy()), self.report
-        v1 = tt_scale(r0, 1.0 / beta)
-        sr0 = self.sketch_vec(r0)
-        if self.frame is not None:
-            self.pairs.append(self.pair_of(v1))
-            self.x0_pair = self.pair_of(self.x0) if self.x0 is not None else None
-        self.window = [(0, v1)]
-        if self.keep_full_basis:
-            self.basis = [v1]
-        spec_basis = RoundSpec(cfg.eta * cfg.tol, cfg.max_rank)
-        y = np.zeros(1)
-        k_done = 0
-        converged = False
-        for k in range(1, cfg.maxit + 1):
-            kk = k - 1
-            vt = self.expand(self.window[-1][1])
-            norm_av = tt_norm(vt)
-            self.w_cols.append(self.sketch_vec(vt))
-            t0 = time.perf_counter()
-            if cfg.combine_mode == "explicit" or self.frame is None:
-                for gi, vi in self.window:
-                    hik = tt_dot(vt, vi)
-                    self.h[gi, kk] = hik
-                    vt = tt_add(vt, tt_scale(vi, -hik))
-                self.timer.add("orth", t0)
-                t0 = time.perf_counter()
-                vt = tt_round(vt, spec_basis)
-                self.timer.add("round", t0)
-            else:
-                hs = [(gi, tt_dot(vt, vi)) for gi, vi in self.window]
-                for gi, hik in hs:
-                    self.h[gi, kk] = hik
-                self.timer.add("orth", t0)
-                pv = self.pair_of(vt)
-                t0 = time.perf_counter()
-                comb = combine_pairs(
-                    [pv] + [self.pairs[gi] for gi, _ in hs],
-                    [1.0] + [-hik for _, hik in hs],
-                )
-                vt = stream_recover(comb, spec_basis)
-                self.timer.add("round", t0)
-            hnew = tt_norm(vt)
-            self.h[k, kk] = hnew
-            lucky = hnew <= _BREAKDOWN_FACTOR * norm_av
-            if not lucky:
-                vnew = tt_scale(vt, 1.0 / hnew)
-                if self.frame is not None:
-                    self.pairs.append(self.pair_of(vnew))
-                self.report.max_resident_basis = max(
-                    self.report.max_resident_basis, len(self.window) + 1
-                )
-                self.window.append((k, vnew))
-                if len(self.window) > cfg.ell:
-                    self.window.pop(0)
-                if self.keep_full_basis:
-                    self.basis.append(vnew)
-            t0 = time.perf_counter()
-            w = np.stack(self.w_cols, axis=1)
-            y, res, sv = _lsq_svd(w, sr0)
-            # a column the least squares cannot resolve from the earlier ones
-            # means the truncated recurrence has stopped adding directions;
-            # past it the fit only absorbs rounding noise
-            stalled = k > 1 and (
-                _lsq_svd(w[:, :-1], w[:, -1])[1] <= _LSQ_RCOND * np.linalg.norm(w[:, -1])
-            )
-            self.timer.add("lsq", t0)
-            if sv.size and sv[-1] < _CONDITION_WATERMARK * sv[0]:
-                msg = f"iteration {k}: sketched basis nearly rank-deficient"
-                if not self.report.warnings or self.report.warnings[-1][:9] != msg[:9]:
-                    self.report.warnings.append(msg)
-            rel = res / nb_sketch
-            self.report.res_sketched.append(rel)
-            self.report.basis_rank.append(
-                max((max(v.ranks) for _, v in self.window), default=1)
-            )
-            k_done = k
-            if cfg.track_true_residual:
-                x_k = self.assemble(y)
-                if self.report.res_true is None:
-                    self.report.res_true = []
-                self.report.res_true.append(true_residual(self.a, self.b, x_k))
-            self.timer.flush()
-            hit = res <= nb_sketch * cfg.tol
-            if hit:
-                converged = True
-            if ((hit or stalled) and not cfg.force_iterations) or lucky:
-                if lucky:
-                    converged = True
-                elif not hit:
-                    self.report.warnings.append(f"iteration {k}: sketched basis stopped growing")
-                break
-        x = self.assemble(y)
-        self.timer.flush()
-        self.report.converged = converged
-        self.report.iterations = k_done
-        self.report.wall_time = time.perf_counter() - t_start
-        _trim_timer_tail(self.report, k_done)
-        return x, self.report
-
-    def assemble(self, y):
-        raise NotImplementedError
-
-
-class _VanillaRun(_SketchedRun):
-    """Final solution by sequential rounded additions over the full basis."""
-
-    def assemble(self, y):
-        t0 = time.perf_counter()
-        x = self.x0.copy() if self.x0 is not None else None
-        for i in range(len(y)):
-            term = tt_scale(self.basis[i], float(y[i]))
-            x = term if x is None else tt_round(tt_add(x, term), RoundSpec(self.cfg.tol))
-        self.timer.current["recovery"] += time.perf_counter() - t0
+    def solution(self, y):
+        x = self.x0
+        for v, c in zip(self.basis, y):
+            term = tt_scale(v, float(c))
+            x = term if x is None else tt_round(tt_add(x, term), self.spec)
         return x
 
 
-class _StreamedRun(_SketchedRun):
-    """Final solution recovered from the accumulated sketch pairs."""
+class _StreamedSum:
+    """One recovery from the combined sketch pairs of the v_i and x0, then P^{-1}."""
 
-    def assemble(self, y):
-        t0 = time.perf_counter()
-        pairs = [self.pairs[i] for i in range(len(y))]
-        coeffs = [float(c) for c in y]
-        if self.x0 is not None:
+    def __init__(self, frame, x0, spec, precond, timer):
+        self.frame, self.spec, self.precond, self.timer = frame, spec, precond, timer
+        self.pairs = []
+        self.x0_pair = None if x0 is None else self.pair_of(x0)
+
+    def pair_of(self, v):
+        return self.timer.timed("sketch", stream_sketch, v, self.frame)
+
+    def add(self, v):
+        self.pairs.append(self.pair_of(v))
+
+    def solution(self, y):
+        pairs, coeffs = self.pairs[: len(y)], [float(c) for c in y]
+        if self.x0_pair is not None:
             pairs.append(self.x0_pair)
             coeffs.append(1.0)
-        spec = RoundSpec(self.cfg.tol, default_solution_rank(self.b, self.cfg))
-        u = stream_recover(combine_pairs(pairs, coeffs), spec)
-        if self.precond is not None:
-            u = self.precond.apply_inverse(u)
-        self.timer.current["recovery"] += time.perf_counter() - t0
-        return u
+        u = stream_recover(combine_pairs(pairs, coeffs), self.spec)
+        return u if self.precond is None else self.precond.apply_inverse(u)
+
+
+# ---------------------------------------------------------------------------
+# the driver
+
+
+def _krylov(a, b, x0, cfg: SolverConfig, sketch=None, frame=None, precond=None):
+    """The Krylov loop of all four variants (see the module docstring).
+
+    Without a sketch it is ``tt_gmres``; with a frame the solution is
+    streamed, otherwise summed from the stored basis.
+    """
+    if a.col_dims != b.dims or a.row_dims != b.dims:
+        raise ShapeMismatch("operator dims do not match the right-hand side")
+    if sketch is not None and sketch.dims != b.dims:
+        raise ShapeMismatch("sketch dims do not match the right-hand side")
+    check_finite(b)
+    if x0 is not None:
+        check_finite(x0)
+    t_start = time.perf_counter()
+    report = SolveReport(seed=cfg.seed)
+    timer = _PhaseTimer(report)
+    x0 = None if _is_zero(x0) else x0
+    nb = tt_norm(b)
+    r0 = b if x0 is None else tt_add(b, tt_scale(tt_matvec(a, x0), -1.0))
+    beta = tt_norm(r0)
+    if nb == 0 or beta == 0:
+        # b = 0 is solved by x = 0 whatever x0 is; b - A x0 = 0 by x0
+        report.converged = True
+        return (tt_zero(b.dims) if nb == 0 else x0.copy()), report
+    v1 = tt_scale(r0, 1.0 / beta)
+    relaxed = sketch is None
+    if relaxed:
+        lsq = _HessenbergLsq(cfg.maxit, beta, nb)
+    else:
+        lsq = _SketchedLsq(sketch, b, r0, timer, report.warnings)
+    if frame is None:
+        assembly = _RoundedSum(x0, cfg.tol)
+    else:
+        sol_spec = RoundSpec(cfg.tol, default_solution_rank(b, cfg))
+        assembly = _StreamedSum(frame, x0, sol_spec, precond, timer)
+    stta = frame is not None and cfg.combine_mode == "stta"
+    window_size = cfg.maxit + 1 if relaxed else cfg.ell
+    window = [(0, v1)]  # (basis index, basis vector)
+    assembly.add(v1)
+    if cfg.track_true_residual:
+        report.res_true = []
+    spec = RoundSpec(cfg.eta * cfg.tol, cfg.max_rank)
+    rel_res = beta / nb
+    converged = False
+
+    def expand(v):
+        return tt_matvec(a, v if precond is None else precond.apply_inverse(v))
+
+    for k in range(1, cfg.maxit + 1):
+        # orthogonalize and round; w is rebound at every step so that no
+        # earlier, larger version of it stays alive
+        if relaxed:  # eta_k = tol / rel_res_{k-1}, clamped to [1e-14, 1]
+            eta_k = min(max(cfg.tol / rel_res, _BREAKDOWN_FACTOR), 1.0)
+            spec = RoundSpec(eta_k * cfg.tol, cfg.max_rank)
+        w = timer.timed("matvec", expand, window[-1][1])
+        lsq.image(w)
+        if relaxed:
+            w = timer.timed("round", tt_round, w, spec)
+        t0 = time.perf_counter()
+        col = np.zeros(k + 1)
+        for i, v in window:
+            col[i] = tt_dot(w, v)
+            if not stta:
+                w = tt_add(w, tt_scale(v, -col[i]))
+                if relaxed:
+                    w = tt_round(w, spec)
+        timer.add("orth", t0)
+        if stta:
+            pairs = [assembly.pair_of(w)] + [assembly.pairs[i] for i, _ in window]
+            coeffs = [1.0] + [-col[i] for i, _ in window]
+            t0 = time.perf_counter()
+            w = stream_recover(combine_pairs(pairs, coeffs), spec)
+            timer.add("round", t0)
+        elif not relaxed:
+            w = timer.timed("round", tt_round, w, spec)
+        hnew = col[k] = tt_norm(w)
+        lucky = hnew <= _BREAKDOWN_FACTOR * np.linalg.norm(col)
+        if not lucky:
+            window.append((k, tt_scale(w, 1.0 / hnew)))
+            assembly.add(window[-1][1])
+        report.max_resident_basis = max(report.max_resident_basis, len(window))
+        if len(window) > window_size:
+            window.pop(0)
+
+        res, stalled = timer.timed("lsq", lsq.update, col)
+        rel_res = max(res / lsq.scale, 1e-300)
+        report.res_sketched.append(rel_res)
+        report.basis_rank.append(max(window[-1][1].ranks))
+        if cfg.track_true_residual:
+            x = timer.timed("recovery", assembly.solution, lsq.coefficients())
+            report.res_true.append(true_residual(a, b, x))
+        timer.flush()
+        hit = res <= lsq.scale * cfg.tol
+        converged = converged or hit or lucky
+        if lucky or ((hit or stalled) and not cfg.force_iterations):
+            if not (hit or lucky):
+                report.warnings.append(f"iteration {k}: sketched basis stopped growing")
+            break
+
+    x = timer.timed("recovery", assembly.solution, lsq.coefficients())
+    timer.flush(fold=True)
+    report.converged = converged
+    report.iterations = k
+    report.wall_time = time.perf_counter() - t_start
+    return x, report
+
+
+# ---------------------------------------------------------------------------
+# the four variants
+
+
+def tt_gmres(a: TTOperator, b: TTVector, x0: TTVector | None, cfg: SolverConfig):
+    """Classic GMRES in TT arithmetic.
+
+    Matvec results and Gram-Schmidt updates are rounded at eta_k * tol
+    with the relaxation eta_k = tol / rel_res_{k-1} (clamped to
+    [1e-14, 1]); y_k comes from the Givens-updated QR of the Hessenberg
+    matrix; the solution is accumulated by sequential rounded additions.
+    """
+    return _krylov(a, b, x0, cfg)
 
 
 def tt_sgmres_vanilla(a, b, x0, cfg: SolverConfig, sketch: KhatriRaoSketch):
-    """Sketched GMRES keeping the whole basis; fragile final summation."""
-    run = _VanillaRun(a, b, x0, cfg, sketch, keep_full_basis=True)
-    return run.run()
+    """Sketched GMRES keeping the whole basis; fragile final summation.
+
+    Ignores ``cfg.combine_mode``: with no sketch pairs of the basis, the
+    window is always combined explicitly.
+    """
+    return _krylov(a, b, x0, cfg, sketch)
 
 
 def tt_sgmres(a, b, x0, cfg: SolverConfig, sketch: KhatriRaoSketch,
@@ -498,8 +452,7 @@ def tt_sgmres(a, b, x0, cfg: SolverConfig, sketch: KhatriRaoSketch,
     """Sketch-only-memory TT-sGMRES (window of ell basis vectors)."""
     if frame is None:
         frame = make_solver_frame(b, cfg, seed=cfg.seed + 1)
-    run = _StreamedRun(a, b, x0, cfg, sketch, frame=frame)
-    return run.run()
+    return _krylov(a, b, x0, cfg, sketch, frame)
 
 
 def tt_spgmres(a, precond: ExpSumPreconditioner, b, x0, cfg: SolverConfig,
@@ -508,5 +461,4 @@ def tt_spgmres(a, precond: ExpSumPreconditioner, b, x0, cfg: SolverConfig,
     A P^{-1}; the returned solution is x = P^{-1} u."""
     if frame is None:
         frame = make_solver_frame(b, cfg, seed=cfg.seed + 1)
-    run = _StreamedRun(a, b, x0, cfg, sketch, frame=frame, precond=precond)
-    return run.run()
+    return _krylov(a, b, x0, cfg, sketch, frame, precond)

@@ -28,11 +28,10 @@ class TTDRM:
     contractions against it behave like properly scaled Gaussian sketches.
     """
 
-    def __init__(self, dims, ranks, cores, seed=None):
+    def __init__(self, dims, ranks, cores):
         self.dims = tuple(dims)
         self.ranks = tuple(ranks)
         self.cores = cores
-        self.seed = seed
 
 
 def tt_drm_new(dims, ranks, seed=0) -> TTDRM:
@@ -50,7 +49,7 @@ def tt_drm_new(dims, ranks, seed=0) -> TTDRM:
     for k in range(d):
         var = 1.0 / (full[k] * dims[k] * full[k + 1])
         cores.append(rng.normal(0.0, np.sqrt(var), size=(full[k], dims[k], full[k + 1])))
-    return TTDRM(dims, tuple(full), cores, seed=seed)
+    return TTDRM(dims, tuple(full), cores)
 
 
 class StreamFrame:

@@ -474,12 +474,6 @@ def tt_op_add(a: TTOperator, b: TTOperator) -> TTOperator:
     return _vector_as_op(s, a.row_dims, a.col_dims)
 
 
-def tt_op_scale(a: TTOperator, alpha: float) -> TTOperator:
-    cores = [c.copy() for c in a.op_cores]
-    cores[-1] *= alpha
-    return TTOperator(cores)
-
-
 def tt_op_round(a: TTOperator, spec: RoundSpec) -> TTOperator:
     """Round an operator by treating each core as order 3 with fused modes."""
     r = tt_round(_op_as_vector(a), spec)

@@ -6,7 +6,6 @@ from ttkrylov.precond import (
     expsum_coeffs,
     matrix_exp,
     mode_multiply,
-    precond_apply,
     spectral_interval,
 )
 from ttkrylov.tt import (
@@ -141,7 +140,7 @@ class TestPreconditioner:
         factors = [laplacian(4)] * 2
         p = ExpSumPreconditioner(factors, [1.0], [0.0], RoundSpec(1e-14))
         v = tt_random([4, 4], [2], seed=4)
-        w = precond_apply(p, v)
+        w = p.apply_inverse(v)
         assert np.allclose(tt_to_dense(w), tt_to_dense(v), atol=1e-12)
 
     def test_approximate_inverse_spd(self):
@@ -152,7 +151,7 @@ class TestPreconditioner:
             x = tt_random([6, 6, 6], [2, 2], seed=seed)
             x = tt_scale(x, 1.0 / tt_norm(x))
             qx = tt_matvec(q, x)
-            got = precond_apply(p, qx)
+            got = p.apply_inverse(qx)
             err = tt_norm(tt_add(got, tt_scale(x, -1.0)))
             assert err <= 10 * p.quad_bound + 1e-12
 
@@ -174,8 +173,8 @@ class TestPreconditioner:
         p = ExpSumPreconditioner.from_kron_sum(factors, 8, RoundSpec(1e-12))
         a = tt_random([4, 4], [2], seed=8)
         b = tt_random([4, 4], [1], seed=9)
-        lhs = precond_apply(p, tt_add(tt_scale(a, 2.0), tt_scale(b, -3.0)))
-        rhs = tt_add(tt_scale(precond_apply(p, a), 2.0), tt_scale(precond_apply(p, b), -3.0))
+        lhs = p.apply_inverse(tt_add(tt_scale(a, 2.0), tt_scale(b, -3.0)))
+        rhs = tt_add(tt_scale(p.apply_inverse(a), 2.0), tt_scale(p.apply_inverse(b), -3.0))
         # intermediate rounded additions admit error ~ zeta * rel_tol * term scale
         gap = tt_norm(tt_add(lhs, tt_scale(rhs, -1.0)))
         assert gap <= 1e-6 * max(tt_norm(lhs), 1.0)
@@ -186,12 +185,12 @@ class TestPreconditioner:
         seq = ExpSumPreconditioner.from_kron_sum(factors, 10, spec, accumulate="sequential")
         st = ExpSumPreconditioner(factors, seq.alpha, seq.beta, spec, accumulate="stream")
         v = tt_random([5, 5, 5], [2, 2], seed=10)
-        a = precond_apply(seq, v)
-        b = precond_apply(st, v)
+        a = seq.apply_inverse(v)
+        b = st.apply_inverse(v)
         gap = tt_norm(tt_add(a, tt_scale(b, -1.0))) / tt_norm(a)
         assert gap <= 1e-6
 
     def test_dim_mismatch(self):
         p = ExpSumPreconditioner([np.eye(3)], [1.0], [1.0], RoundSpec(0.0))
         with pytest.raises(ShapeMismatch):
-            precond_apply(p, tt_random([4], [], seed=11))
+            p.apply_inverse(tt_random([4], [], seed=11))

@@ -24,8 +24,10 @@ from ttkrylov.streaming import StreamFrame
 from ttkrylov.tt import (
     NonFiniteCore,
     RoundSpec,
+    ShapeMismatch,
     identity_operator,
     tt_add,
+    tt_matvec,
     tt_norm,
     tt_random,
     tt_scale,
@@ -49,7 +51,7 @@ class TestSketchedLsq:
         rng = np.random.default_rng(0)
         q, _ = np.linalg.qr(rng.standard_normal((30, 5)))
         rhs = rng.standard_normal(30)
-        y, res = sketched_lsq(q, rhs)
+        y, res, _ = sketched_lsq(q, rhs)
         assert np.allclose(y, q.T @ rhs, atol=1e-12)
         assert np.isclose(res, np.linalg.norm(q @ y - rhs))
 
@@ -57,14 +59,14 @@ class TestSketchedLsq:
         rng = np.random.default_rng(1)
         w = rng.standard_normal((20, 1))
         rhs = rng.standard_normal(20)
-        y, _ = sketched_lsq(w, rhs)
+        y, _, _ = sketched_lsq(w, rhs)
         assert np.isclose(y[0], float(w[:, 0] @ rhs) / float(w[:, 0] @ w[:, 0]))
 
     def test_matches_normal_equations(self):
         rng = np.random.default_rng(2)
         w = rng.standard_normal((40, 6)) + 3 * np.eye(40, 6)
         rhs = rng.standard_normal(40)
-        y, _ = sketched_lsq(w, rhs)
+        y, _, _ = sketched_lsq(w, rhs)
         y2 = np.linalg.solve(w.T @ w, w.T @ rhs)
         assert np.allclose(y, y2, atol=1e-10)
 
@@ -110,22 +112,74 @@ class TestTTGMRES:
         assert rep.converged
         assert rel_gap(x, solve_dense(op, rhs)) <= 1e-7
 
-    def test_report_histories_consistent(self):
-        op, rhs = convection_diffusion(ConvectionDiffusionSpec(d=2, n=6))
-        cfg = SolverConfig(maxit=60, tol=1e-8, seed=3, track_true_residual=True)
-        x, rep = tt_gmres(op, rhs, None, cfg)
+
+def _small_problem(seed=0):
+    op, rhs = convection_diffusion(ConvectionDiffusionSpec(d=3, n=5))
+    return op, rhs
+
+
+VARIANTS = ("gmres", "vanilla", "sgmres", "spgmres")
+
+
+def run_variant(name, op, rhs, x0, cfg, precond=None):
+    """Solve with the named variant; the sketch is drawn from cfg.seed and
+    the preconditioner defaults to the identity."""
+    if name == "gmres":
+        return tt_gmres(op, rhs, x0, cfg)
+    s = kr_sketch_new(rhs.dims, cfg.sketch_rows, seed=cfg.seed + 1)
+    if name == "vanilla":
+        return tt_sgmres_vanilla(op, rhs, x0, cfg, s)
+    if name == "sgmres":
+        return tt_sgmres(op, rhs, x0, cfg, s)
+    if precond is None:
+        precond = ExpSumPreconditioner([np.zeros((n, n)) for n in rhs.dims], [1.0], [0.0],
+                                       RoundSpec(1e-14))
+    return tt_spgmres(op, precond, rhs, x0, cfg, s)
+
+
+class TestReportInvariants:
+    @pytest.mark.parametrize("name,forced", [(v, False) for v in VARIANTS] + [("sgmres", True)],
+                             ids=list(VARIANTS) + ["sgmres-forced"])
+    def test_report_histories_consistent(self, name, forced):
+        spec = ConvectionDiffusionSpec(d=2, n=6)
+        op, rhs = convection_diffusion(spec)
+        cfg = SolverConfig(maxit=40, tol=1e-8, seed=3, track_true_residual=True,
+                           force_iterations=forced, solution_rank=12)
+        pre = None
+        if name == "spgmres":
+            pre = ExpSumPreconditioner.from_kron_sum(cd_factor_matrices(spec), 3, RoundSpec(1e-10))
+        x, rep = run_variant(name, op, rhs, None, cfg, pre)
+        if forced:
+            assert rep.iterations == cfg.maxit
         assert len(rep.res_sketched) == rep.iterations
         assert len(rep.res_true) == rep.iterations
         assert len(rep.basis_rank) == rep.iterations
         for p, hist in rep.times.items():
             assert len(hist) == rep.iterations
-        # the residual estimate tracks the true residual at convergence
+        assert sum(rep.phase_totals().values()) <= rep.wall_time
+        assert rep.converged
+        # the residual estimate tracks the true residual at convergence, and
+        # the returned solution is the last tracked iterate
         assert rep.res_true[-1] <= 10 * max(rep.res_sketched[-1], 1e-8)
+        assert rep.res_true[-1] == true_residual(op, rhs, x)
 
 
-def _small_problem(seed=0):
-    op, rhs = convection_diffusion(ConvectionDiffusionSpec(d=3, n=5))
-    return op, rhs
+class TestEntry:
+    @pytest.mark.parametrize("name", VARIANTS)
+    def test_operator_dims_checked(self, name):
+        _, rhs = _small_problem()
+        op, _ = convection_diffusion(ConvectionDiffusionSpec(d=3, n=4))
+        with pytest.raises(ShapeMismatch, match="operator dims"):
+            run_variant(name, op, rhs, None, SolverConfig(maxit=10, tol=1e-6))
+
+    @pytest.mark.parametrize("name", VARIANTS)
+    def test_zero_rhs_gives_zero_solution(self, name):
+        # the nonzero x0 must not be returned: A x0 != 0 = b
+        op, rhs = _small_problem()
+        x0 = tt_random(rhs.dims, [2, 2], seed=1)
+        x, rep = run_variant(name, op, tt_zero(rhs.dims), x0, SolverConfig(maxit=10, tol=1e-6))
+        assert rep.converged and rep.iterations == 0
+        assert tt_norm(tt_matvec(op, x)) == 0.0
 
 
 class TestTTsGMRES:
@@ -310,17 +364,8 @@ class TestNonFiniteInput:
         rhs.cores[1][0, 2, 0] = np.nan
         mode = "stta" if solver == "sgmres-stta" else "explicit"
         cfg = SolverConfig(maxit=10, tol=1e-6, seed=0, combine_mode=mode)
-        s = kr_sketch_new(rhs.dims, cfg.sketch_rows, seed=1)
         with pytest.raises(NonFiniteCore, match="core 1"):
-            if solver == "gmres":
-                tt_gmres(op, rhs, None, cfg)
-            elif solver == "spgmres":
-                pre = ExpSumPreconditioner.from_kron_sum(
-                    cd_factor_matrices(ConvectionDiffusionSpec(d=3, n=5)), 3, RoundSpec(1e-8)
-                )
-                tt_spgmres(op, pre, rhs, None, cfg, s)
-            else:
-                tt_sgmres(op, rhs, None, cfg, s)
+            run_variant(solver.removesuffix("-stta"), op, rhs, None, cfg)
 
     def test_inf_initial_guess_rejected(self):
         op, rhs = _small_problem()

@@ -1,0 +1,108 @@
+"""Digests of solver traces, for checking that a refactor changes no numbers.
+
+Run from the repository root::
+
+    python3 tools/trace_digest.py
+
+Runs the four GMRES variants on small convection-diffusion and Markov
+problems over fixed seeds, with ``ell`` 1 and 2 and both ``combine_mode``
+values (``tt_gmres`` ignores both, ``tt_sgmres_vanilla`` ignores
+``combine_mode``), from a zero and from a random initial guess.  For each run
+it prints two SHA-256 digests:
+
+* ``run``: iterations, converged, the sketched and true residual histories,
+  the warnings, the length of every phase-time history and the bytes of the
+  cores of the returned solution;
+* ``rank``: the ``basis_rank`` history and ``max_resident_basis``.
+
+Compare the output of two checkouts on the same machine.  The digests are
+bitwise, so they depend on the BLAS and on its thread count; the script pins
+one thread.  It is not part of the test suite for that reason.
+"""
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import hashlib  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
+
+import ttkrylov as ttk  # noqa: E402
+
+SEEDS = (0, 1)
+PRECOND_ZETA = 3
+
+
+def problems():
+    cd = ttk.ConvectionDiffusionSpec(d=3, n=5)
+    op, rhs = ttk.convection_diffusion(cd)
+    yield "cd", op, rhs, ttk.cd_factor_matrices(cd)
+    mk = ttk.MarkovSpec(d=3, n=5, seed=9)
+    op, rhs = ttk.markov_chain(mk)
+    yield "markov", op, rhs, ttk.markov_factor_matrices(mk)
+
+
+def variants():
+    yield "tt_gmres", 1, "explicit"
+    for ell in (1, 2):
+        yield "tt_sgmres_vanilla", ell, "explicit"
+        for mode in ("explicit", "stta"):
+            yield "tt_sgmres", ell, mode
+            yield "tt_spgmres", ell, mode
+
+
+def solve(name, op, rhs, x0, cfg, precond):
+    if name == "tt_gmres":
+        return ttk.tt_gmres(op, rhs, x0, cfg)
+    sketch = ttk.kr_sketch_new(rhs.dims, cfg.sketch_rows, seed=cfg.seed)
+    if name == "tt_sgmres_vanilla":
+        return ttk.tt_sgmres_vanilla(op, rhs, x0, cfg, sketch)
+    if name == "tt_sgmres":
+        return ttk.tt_sgmres(op, rhs, x0, cfg, sketch)
+    return ttk.tt_spgmres(op, precond, rhs, x0, cfg, sketch)
+
+
+def _floats(values) -> bytes:
+    return b"none" if values is None else np.asarray(values, dtype=np.float64).tobytes()
+
+
+def digests(x, rep):
+    run = hashlib.sha256()
+    run.update(f"{rep.iterations} {rep.converged}".encode())
+    run.update(_floats(rep.res_sketched))
+    run.update(_floats(rep.res_true))
+    run.update("\n".join(rep.warnings).encode())
+    run.update(repr(sorted((p, len(h)) for p, h in rep.times.items())).encode())
+    for c in x.cores:
+        run.update(repr(c.shape).encode())
+        run.update(np.ascontiguousarray(c, dtype=np.float64).tobytes())
+    rank = hashlib.sha256(repr((list(rep.basis_rank), rep.max_resident_basis)).encode())
+    return run.hexdigest(), rank.hexdigest()
+
+
+def main():
+    for pname, op, rhs, factors in problems():
+        spec = ttk.RoundSpec(0.3 * 1e-8)
+        precond = ttk.ExpSumPreconditioner.from_kron_sum(factors, PRECOND_ZETA, spec)
+        for seed in SEEDS:
+            for guess in ("zero", "random"):
+                x0 = None if guess == "zero" else ttk.tt_random(rhs.dims, [2, 2], seed=100 + seed)
+                for name, ell, mode in variants():
+                    cfg = ttk.SolverConfig(
+                        maxit=30, tol=1e-8, ell=ell, seed=seed, solution_rank=12,
+                        combine_mode=mode, track_true_residual=True,
+                    )
+                    x, rep = solve(name, op, rhs, x0, cfg, precond)
+                    run, rank = digests(x, rep)
+                    label = f"{pname} seed={seed} x0={guess} {name} ell={ell} {mode}"
+                    print(f"{label:<52} iters={rep.iterations:<3} run={run} rank={rank}")
+
+
+if __name__ == "__main__":
+    main()
