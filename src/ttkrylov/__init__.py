@@ -32,7 +32,6 @@ from .solvers import (
 from .streaming import (
     SketchPair,
     StreamFrame,
-    TTDRM,
     combine_pairs,
     stream_recover,
     stream_sketch,

@@ -18,8 +18,24 @@ Config files are INI-style.  A minimal example::
     csv = run.csv
     track_true_residual = false
 
+Each section maps onto one library type; a key that is not set keeps the
+library's default:
+
+* ``[problem]``: ``type`` picks ``ConvectionDiffusionSpec``
+  (``convection_diffusion``) or ``MarkovSpec`` (``markov_chain``); every
+  scalar field of that dataclass is a key, and ``d`` and ``n`` are required.
+* ``[solver]``: ``type`` names the variant; every field of ``SolverConfig``
+  is a key, except ``track_true_residual``, which lives in ``[output]``.
+* ``[preconditioner]``: ``type = expsum`` with ``zeta`` and, optionally,
+  ``max_rank`` (default: the solver's) and ``accumulate``, passed to
+  ``ExpSumPreconditioner.from_kron_sum``; ``tt_spgmres`` needs it.
+* ``[output]``: ``csv`` (the ``solve`` trace file name) and
+  ``track_true_residual``.
+
 Subcommands: ``ttk solve``, ``ttk compare`` (a [compare] section lists
 variants), ``ttk sweep`` (a [sweep] section gives axis and values).
+``--maxit``, ``--tol``, ``--seed`` and ``--track-true-residual`` override
+the config.
 """
 
 from __future__ import annotations
@@ -27,23 +43,11 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import os
 import sys
 import time
-
-CSV_HEADER = [
-    "iter",
-    "res_sketched",
-    "res_true",
-    "max_rank",
-    "t_matvec",
-    "t_sketch",
-    "t_orth",
-    "t_round",
-    "t_lsq",
-]
-
-SOLVER_NAMES = ("tt_gmres", "tt_sgmres_vanilla", "tt_sgmres", "tt_spgmres")
+import typing
 
 
 class ConfigError(Exception):
@@ -59,9 +63,7 @@ def _apply_thread_cap():
 
 _apply_thread_cap()
 
-import numpy as np  # noqa: E402  (thread cap must precede the import)
-
-from .precond import ExpSumPreconditioner, spectral_interval  # noqa: E402
+from .precond import ExpSumPreconditioner  # noqa: E402  (thread cap must precede numpy)
 from .problems import (  # noqa: E402
     ConvectionDiffusionSpec,
     MarkovSpec,
@@ -72,8 +74,8 @@ from .problems import (  # noqa: E402
 )
 from .sketch import kr_sketch_new  # noqa: E402
 from .solvers import (  # noqa: E402
+    PHASES,
     SolverConfig,
-    make_solver_frame,
     tt_gmres,
     tt_sgmres,
     tt_sgmres_vanilla,
@@ -81,9 +83,20 @@ from .solvers import (  # noqa: E402
 )
 from .tt import RoundSpec  # noqa: E402
 
+CSV_HEADER = ["iter", "res_sketched", "res_true", "max_rank"] + [f"t_{p}" for p in PHASES]
+TABLE_HEADER = [
+    "axis", "value", "variant", "time", "iterations",
+    "peak_rank", "res_sketched", "res_true", "converged",
+]
+SOLVER_NAMES = ("tt_gmres", "tt_sgmres_vanilla", "tt_sgmres", "tt_spgmres")
+PROBLEMS = {
+    "convection_diffusion": (ConvectionDiffusionSpec, convection_diffusion, cd_factor_matrices),
+    "markov_chain": (MarkovSpec, markov_chain, markov_factor_matrices),
+}
 
-def _get(section, key, conv, default=None, required=False):
-    raw = section[key].strip() if section is not None and key in section else ""
+
+def _get(cp, section, key, conv=str, default=None, required=False):
+    raw = cp.get(section, key, fallback="").strip()
     if raw == "":
         if required:
             raise ConfigError(f"missing required key '{key}'")
@@ -103,6 +116,31 @@ def _bool(raw):
     raise ValueError(raw)
 
 
+_CONVERTERS = {int: int, float: float, str: str, bool: _bool}
+
+
+def _fields_from(cls, cp, section, skip=()):
+    """Keyword arguments for dataclass ``cls`` from the keys set in
+    ``section``: one key per scalar field, required when it has no default."""
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for f in dataclasses.fields(cls):
+        conv = _CONVERTERS.get((typing.get_args(hints[f.name]) or (hints[f.name],))[0])
+        if conv is None or f.name in skip:
+            continue
+        value = _get(cp, section, f.name, conv, required=f.default is dataclasses.MISSING)
+        if value is not None:
+            kwargs[f.name] = value
+    return kwargs
+
+
+def _construct(cls, kwargs, what):
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {what} configuration: {exc}") from exc
+
+
 def parse_config(path):
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
@@ -118,91 +156,53 @@ def parse_config(path):
     return cp
 
 
-def build_problem(cp, seed_override=None):
-    sec = cp["problem"]
-    kind = _get(sec, "type", str, required=True)
-    d = _get(sec, "d", int, required=True)
-    n = _get(sec, "n", int, required=True)
-    if kind == "convection_diffusion":
-        spec = ConvectionDiffusionSpec(
-            d=d,
-            n=n,
-            diffusion=_get(sec, "diffusion", float, 1e-2),
-        )
-        op, rhs = convection_diffusion(spec)
-        factors = cd_factor_matrices(spec)
-    elif kind == "markov_chain":
-        seed = _get(sec, "seed", int, 0)
-        if seed_override is not None:
-            seed = seed_override
-        spec = MarkovSpec(
-            d=d,
-            n=n,
-            sync_rate=_get(sec, "sync_rate", float, 0.1),
-            rate_low=_get(sec, "rate_low", float, 1.0),
-            rate_high=_get(sec, "rate_high", float, 2.0),
-            seed=seed,
-        )
-        op, rhs = markov_chain(spec)
-        factors = markov_factor_matrices(spec)
-    else:
+def build_problem(cp):
+    """The (operator, rhs, factor matrices) of the [problem] section."""
+    kind = _get(cp, "problem", "type", required=True)
+    if kind not in PROBLEMS:
         raise ConfigError(f"unknown problem type '{kind}'")
-    return op, rhs, factors
+    spec_cls, build, factor_matrices = PROBLEMS[kind]
+    spec = _construct(spec_cls, _fields_from(spec_cls, cp, "problem"), "problem")
+    op, rhs = build(spec)
+    return op, rhs, factor_matrices(spec)
 
 
 def build_solver_config(cp, overrides):
-    sec = cp["solver"]
-    kwargs = dict(
-        maxit=_get(sec, "maxit", int, 200),
-        tol=_get(sec, "tol", float, 1e-6),
-        ell=_get(sec, "ell", int, 1),
-        eta=_get(sec, "eta", float, 0.3),
-        max_rank=_get(sec, "max_rank", int),
-        sketch_rows=_get(sec, "sketch_rows", int),
-        oversampling=_get(sec, "oversampling", int, 20),
-        solution_rank=_get(sec, "solution_rank", int),
-        combine_mode=_get(sec, "combine_mode", str, "explicit"),
-        seed=_get(sec, "seed", int, 0),
-        force_iterations=_get(sec, "force_iterations", _bool, False),
-    )
+    kwargs = _fields_from(SolverConfig, cp, "solver", skip=("track_true_residual",))
     if overrides.maxit is not None:
-        kwargs["maxit"] = overrides.maxit
-        kwargs["sketch_rows"] = None
-    if overrides.tol is not None:
-        kwargs["tol"] = overrides.tol
-    if overrides.seed is not None:
-        kwargs["seed"] = overrides.seed
-    out = cp["output"] if "output" in cp else None
-    track = _get(out, "track_true_residual", _bool, False)
-    if overrides.track_true_residual:
-        track = True
-    kwargs["track_true_residual"] = track
-    try:
-        return SolverConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"invalid solver configuration: {exc}") from exc
+        kwargs.pop("sketch_rows", None)  # the default follows maxit
+    for key in ("maxit", "tol", "seed"):
+        if getattr(overrides, key) is not None:
+            kwargs[key] = getattr(overrides, key)
+    track = _get(cp, "output", "track_true_residual", _bool)
+    if track or overrides.track_true_residual:
+        kwargs["track_true_residual"] = True
+    return _construct(SolverConfig, kwargs, "solver")
 
 
 def build_preconditioner(cp, factors, cfg):
-    if "preconditioner" not in cp:
-        return None
-    sec = cp["preconditioner"]
-    kind = _get(sec, "type", str, "none")
-    if kind in ("none", ""):
+    kind = _get(cp, "preconditioner", "type")
+    if kind in (None, "none"):
         return None
     if kind != "expsum":
         raise ConfigError(f"unknown preconditioner type '{kind}'")
-    zeta = _get(sec, "zeta", int, required=True)
-    cap = _get(sec, "max_rank", int, cfg.max_rank)
-    accumulate = _get(sec, "accumulate", str, "sequential")
+    zeta = _get(cp, "preconditioner", "zeta", int, required=True)
+    cap = _get(cp, "preconditioner", "max_rank", int, cfg.max_rank)
+    accumulate = _get(cp, "preconditioner", "accumulate")
+    kwargs = {} if accumulate is None else {"accumulate": accumulate}
     spec = RoundSpec(cfg.eta * cfg.tol, cap)
     return ExpSumPreconditioner.from_kron_sum(
-        factors, zeta, spec, accumulate=accumulate, stream_seed=cfg.seed + 7
+        factors, zeta, spec, stream_seed=cfg.seed + 7, **kwargs
     )
 
 
 def run_variant(name, cp, overrides, problem=None):
-    """Run one solver variant; returns (report, wall seconds)."""
+    """Run one solver variant from x0 = 0; returns (report, wall seconds).
+
+    For the solve seed s the Khatri-Rao sketch is drawn with seed s, the
+    solvers draw the recovery frame with seed s+1, and the preconditioner's
+    stream seed is s+7.  The wall time includes the preconditioner set-up.
+    """
     if name not in SOLVER_NAMES:
         raise ConfigError(f"unknown solver name '{name}'")
     cfg = build_solver_config(cp, overrides)
@@ -212,19 +212,15 @@ def run_variant(name, cp, overrides, problem=None):
         _, report = tt_gmres(op, rhs, None, cfg)
     else:
         sketch = kr_sketch_new(rhs.dims, cfg.sketch_rows, seed=cfg.seed)
-        if name == "tt_sgmres_vanilla":
-            _, report = tt_sgmres_vanilla(op, rhs, None, cfg, sketch)
-        elif name == "tt_sgmres":
-            frame = make_solver_frame(rhs, cfg, seed=cfg.seed + 1)
-            _, report = tt_sgmres(op, rhs, None, cfg, sketch, frame)
-        else:
+        if name == "tt_spgmres":
             precond = build_preconditioner(cp, factors, cfg)
             if precond is None:
                 raise ConfigError("tt_spgmres requires an expsum [preconditioner]")
-            frame = make_solver_frame(rhs, cfg, seed=cfg.seed + 1)
-            _, report = tt_spgmres(op, precond, rhs, None, cfg, sketch, frame)
-    wall = time.perf_counter() - t0
-    return report, wall
+            _, report = tt_spgmres(op, precond, rhs, None, cfg, sketch)
+        else:
+            solver = tt_sgmres if name == "tt_sgmres" else tt_sgmres_vanilla
+            _, report = solver(op, rhs, None, cfg, sketch)
+    return report, time.perf_counter() - t0
 
 
 def write_trace(path, report):
@@ -232,21 +228,10 @@ def write_trace(path, report):
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for i in range(report.iterations):
-            true_val = ""
-            if report.res_true is not None:
-                true_val = f"{report.res_true[i]:.17g}"
+            true_val = "" if report.res_true is None else f"{report.res_true[i]:.17g}"
             writer.writerow(
-                [
-                    i + 1,
-                    f"{report.res_sketched[i]:.17g}",
-                    true_val,
-                    report.basis_rank[i],
-                    f"{report.times['matvec'][i]:.6g}",
-                    f"{report.times['sketch'][i]:.6g}",
-                    f"{report.times['orth'][i]:.6g}",
-                    f"{report.times['round'][i]:.6g}",
-                    f"{report.times['lsq'][i]:.6g}",
-                ]
+                [i + 1, f"{report.res_sketched[i]:.17g}", true_val, report.basis_rank[i]]
+                + [f"{report.times[p][i]:.6g}" for p in PHASES]
             )
 
 
@@ -261,21 +246,64 @@ def summary_line(name, report, wall):
     )
 
 
-def _out_path(overrides, cp, default_name):
-    out_dir = overrides.out_dir or "."
+def _out_dir(args):
+    out_dir = args.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
-    configured = None
-    if "output" in cp:
-        configured = _get(cp["output"], "csv", str)
-    name = configured if configured else default_name
-    return os.path.join(out_dir, name)
+    return out_dir
+
+
+def run_table(cp, args, table, axis=None, values=(None,), traces=False):
+    """Run every variant at every point and write one row per run to
+    ``<table>.csv``; returns whether every run converged.
+
+    The variants are the [compare] list, else the [solver] type.  Without
+    an axis the config itself is the only point.  With ``traces`` each
+    run's iteration trace goes to ``<variant>.csv``.
+    """
+    if "compare" in cp:
+        variants = [v.strip() for v in _get(cp, "compare", "variants", required=True).split(",")]
+        if not all(variants):
+            raise ConfigError("empty variant list")
+    else:
+        variants = [_get(cp, "solver", "type", required=True)]
+    out_dir = _out_dir(args)
+    rows = []
+    for value in values:
+        point = cp
+        if axis is not None:
+            point = configparser.ConfigParser()
+            point.read_dict({s: dict(cp[s]) for s in cp.sections()})
+            if axis == "max_rank":
+                point["solver"]["max_rank"] = "" if value in ("none", "inf") else value
+            else:
+                point["problem"][axis] = value
+        problem = build_problem(point)
+        prefix = "" if axis is None else f"{axis}={value} "
+        for name in variants:
+            report, wall = run_variant(name, point, args, problem=problem)
+            if traces:
+                write_trace(os.path.join(out_dir, f"{name}.csv"), report)
+            print(prefix + summary_line(name, report, wall))
+            final_true = f"{report.res_true[-1]:.6e}" if report.res_true else ""
+            rows.append([
+                axis or "", value or "", name, f"{wall:.4f}", report.iterations,
+                report.peak_rank, f"{report.res_sketched[-1]:.6e}", final_true,
+                report.converged,
+            ])
+    path = os.path.join(out_dir, f"{table}.csv")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TABLE_HEADER)
+        writer.writerows(rows)
+    print(f"{table} written to {path}")
+    return all(row[-1] for row in rows)
 
 
 def cmd_solve(args):
     cp = parse_config(args.config)
-    solver = _get(cp["solver"], "type", str, required=True)
+    solver = _get(cp, "solver", "type", required=True)
     report, wall = run_variant(solver, cp, args)
-    path = _out_path(args, cp, "trace.csv")
+    path = os.path.join(_out_dir(args), _get(cp, "output", "csv") or "trace.csv")
     write_trace(path, report)
     print(summary_line(solver, report, wall))
     print(f"trace written to {path}")
@@ -288,91 +316,20 @@ def cmd_compare(args):
     cp = parse_config(args.config)
     if "compare" not in cp:
         raise ConfigError("missing [compare] section")
-    variants = [v.strip() for v in _get(cp["compare"], "variants", str, required=True).split(",")]
-    if not variants or any(not v for v in variants):
-        raise ConfigError("empty variant list")
-    problem = build_problem(cp)
-    out_dir = args.out_dir or "."
-    os.makedirs(out_dir, exist_ok=True)
-    rows = []
-    all_ok = True
-    for name in variants:
-        report, wall = run_variant(name, cp, args, problem=problem)
-        write_trace(os.path.join(out_dir, f"{name}.csv"), report)
-        print(summary_line(name, report, wall))
-        rows.append(
-            {
-                "variant": name,
-                "iterations": report.iterations,
-                "time": f"{wall:.4f}",
-                "peak_rank": report.peak_rank,
-                "converged": report.converged,
-            }
-        )
-        all_ok = all_ok and report.converged
-    summary_path = os.path.join(out_dir, "summary.csv")
-    with open(summary_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["variant", "iterations", "time", "peak_rank", "converged"])
-        writer.writeheader()
-        writer.writerows(rows)
-    print(f"summary written to {summary_path}")
-    return 0 if all_ok else 2
+    return 0 if run_table(cp, args, "summary", traces=True) else 2
 
 
 def cmd_sweep(args):
     cp = parse_config(args.config)
     if "sweep" not in cp:
         raise ConfigError("missing [sweep] section")
-    axis = _get(cp["sweep"], "axis", str, required=True)
+    axis = _get(cp, "sweep", "axis", required=True)
     if axis not in ("d", "n", "max_rank"):
         raise ConfigError(f"sweep axis must be d, n or max_rank, got '{axis}'")
-    raw_values = _get(cp["sweep"], "values", str, required=True)
-    values = [v.strip() for v in raw_values.split(",") if v.strip()]
+    values = [v.strip() for v in _get(cp, "sweep", "values", required=True).split(",") if v.strip()]
     if not values:
         raise ConfigError("empty sweep value list")
-    variants = [_get(cp["solver"], "type", str, required=True)]
-    if "compare" in cp:
-        variants = [v.strip() for v in _get(cp["compare"], "variants", str, required=True).split(",")]
-    out_dir = args.out_dir or "."
-    os.makedirs(out_dir, exist_ok=True)
-    rows = []
-    for value in values:
-        cp_point = configparser.ConfigParser()
-        cp_point.read_dict({s: dict(cp[s]) for s in cp.sections()})
-        if axis == "max_rank":
-            cp_point["solver"]["max_rank"] = "" if value in ("none", "inf") else value
-        else:
-            cp_point["problem"][axis] = value
-        problem = build_problem(cp_point)
-        for name in variants:
-            report, wall = run_variant(name, cp_point, args, problem=problem)
-            final_true = report.res_true[-1] if report.res_true else ""
-            rows.append(
-                {
-                    "axis": axis,
-                    "value": value,
-                    "variant": name,
-                    "time": f"{wall:.4f}",
-                    "iterations": report.iterations,
-                    "peak_rank": report.peak_rank,
-                    "res_sketched": f"{report.res_sketched[-1]:.6e}",
-                    "res_true": f"{final_true:.6e}" if final_true != "" else "",
-                    "converged": report.converged,
-                }
-            )
-            print(f"{axis}={value} {summary_line(name, report, wall)}")
-    path = os.path.join(out_dir, "sweep.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(
-            fh,
-            fieldnames=[
-                "axis", "value", "variant", "time", "iterations",
-                "peak_rank", "res_sketched", "res_true", "converged",
-            ],
-        )
-        writer.writeheader()
-        writer.writerows(rows)
-    print(f"sweep written to {path}")
+    run_table(cp, args, "sweep", axis, values)
     return 0
 
 

@@ -234,12 +234,10 @@ class ExpSumPreconditioner:
 
     @classmethod
     def from_kron_sum(cls, factors, zeta: int, spec: RoundSpec,
-                      accumulate: str = "sequential", interval=None,
+                      accumulate: str = "sequential",
                       stream_seed: int = 0) -> "ExpSumPreconditioner":
         """Build coefficients for the spectral interval of sum_i (+) A_i."""
-        if interval is None:
-            interval = spectral_interval(factors)
-        alpha, beta, bound = expsum_coeffs(interval[0], interval[1], zeta)
+        alpha, beta, bound = expsum_coeffs(*spectral_interval(factors), zeta)
         return cls(factors, alpha, beta, spec, accumulate=accumulate,
                    quad_bound=bound, stream_seed=stream_seed)
 

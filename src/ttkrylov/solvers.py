@@ -27,7 +27,7 @@ when preconditioned) and passes the result through three parts:
   matrix) or ``_SketchedLsq`` (SVD least squares on the sketched basis).
 * assembly: ``_RoundedSum`` (x0 + sum_i y_i v_i by sequential rounded
   additions over the stored basis) or ``_StreamedSum`` (one recovery from
-  the combined sketch pairs, then P^{-1} when preconditioned).
+  the combined sketch pairs, then P^{-1} when preconditioned, then x0 added).
 
 A lucky breakdown ends the run as converged: the orthogonalized vector
 vanishes next to ||A v||, which is taken from the Hessenberg column as
@@ -290,12 +290,12 @@ class _RoundedSum:
 
 
 class _StreamedSum:
-    """One recovery from the combined sketch pairs of the v_i and x0, then P^{-1}."""
+    """x0 + P^{-1} u, with u one recovery from the combined sketch pairs of
+    the v_i; x0 is added with one rounding at the solution spec."""
 
     def __init__(self, frame, x0, spec, precond, timer):
-        self.frame, self.spec, self.precond, self.timer = frame, spec, precond, timer
+        self.frame, self.x0, self.spec, self.precond, self.timer = frame, x0, spec, precond, timer
         self.pairs = []
-        self.x0_pair = None if x0 is None else self.pair_of(x0)
 
     def pair_of(self, v):
         return self.timer.timed("sketch", stream_sketch, v, self.frame)
@@ -304,12 +304,10 @@ class _StreamedSum:
         self.pairs.append(self.pair_of(v))
 
     def solution(self, y):
-        pairs, coeffs = self.pairs[: len(y)], [float(c) for c in y]
-        if self.x0_pair is not None:
-            pairs.append(self.x0_pair)
-            coeffs.append(1.0)
-        u = stream_recover(combine_pairs(pairs, coeffs), self.spec)
-        return u if self.precond is None else self.precond.apply_inverse(u)
+        u = stream_recover(combine_pairs(self.pairs[: len(y)], [float(c) for c in y]), self.spec)
+        if self.precond is not None:
+            u = self.precond.apply_inverse(u)
+        return u if self.x0 is None else tt_round(tt_add(self.x0, u), self.spec)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +456,7 @@ def tt_sgmres(a, b, x0, cfg: SolverConfig, sketch: KhatriRaoSketch,
 def tt_spgmres(a, precond: ExpSumPreconditioner, b, x0, cfg: SolverConfig,
                sketch: KhatriRaoSketch, frame: StreamFrame | None = None):
     """Right-preconditioned TT-sGMRES: the Krylov space is built for
-    A P^{-1}; the returned solution is x = P^{-1} u."""
+    A P^{-1}; the returned solution is x = x0 + P^{-1} u."""
     if frame is None:
         frame = make_solver_frame(b, cfg, seed=cfg.seed + 1)
     return _krylov(a, b, x0, cfg, sketch, frame, precond)

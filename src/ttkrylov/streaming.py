@@ -21,21 +21,13 @@ class DegenerateRecovery(ValueError):
     """Recovery hit an all-zero cross matrix against nonzero sketches."""
 
 
-class TTDRM:
-    """Random Gaussian TT tensor used as a dimension-reduction map.
+def tt_drm_new(dims, ranks, seed=0) -> TTVector:
+    """Draw a random Gaussian TT tensor used as a dimension-reduction map
+    (TT-DRM), with the given interior rank profile.
 
     Core k has i.i.d. N(0, 1/(l_{k-1} n_k l_k)) entries, so partial
     contractions against it behave like properly scaled Gaussian sketches.
     """
-
-    def __init__(self, dims, ranks, cores):
-        self.dims = tuple(dims)
-        self.ranks = tuple(ranks)
-        self.cores = cores
-
-
-def tt_drm_new(dims, ranks, seed=0) -> TTDRM:
-    """Draw a TT-DRM with the given interior rank profile."""
     dims = list(dims)
     d = len(dims)
     ranks = list(ranks)
@@ -49,7 +41,7 @@ def tt_drm_new(dims, ranks, seed=0) -> TTDRM:
     for k in range(d):
         var = 1.0 / (full[k] * dims[k] * full[k + 1])
         cores.append(rng.normal(0.0, np.sqrt(var), size=(full[k], dims[k], full[k + 1])))
-    return TTDRM(dims, tuple(full), cores)
+    return TTVector(cores)
 
 
 class StreamFrame:
@@ -59,7 +51,7 @@ class StreamFrame:
     them (l_mu = r_mu + oversampling, so l_mu > r_mu always).
     """
 
-    def __init__(self, right: TTDRM, left: TTDRM):
+    def __init__(self, right: TTVector, left: TTVector):
         if right.dims != left.dims:
             raise ShapeMismatch("left/right DRM dims differ")
         for lm, rm in zip(left.ranks[1:-1], right.ranks[1:-1]):
@@ -68,10 +60,6 @@ class StreamFrame:
         self.right = right
         self.left = left
         self.dims = right.dims
-
-    @property
-    def recovery_ranks(self) -> tuple[int, ...]:
-        return self.right.ranks
 
     @classmethod
     def create(cls, dims, recovery_ranks, oversampling: int = 20, seed=0) -> "StreamFrame":
@@ -108,9 +96,6 @@ class SketchPair:
         self.psi = psi
         self.omega = omega
         self.dims = tuple(dims)
-
-    def copy(self) -> "SketchPair":
-        return SketchPair([p.copy() for p in self.psi], [o.copy() for o in self.omega], self.dims)
 
 
 def stream_sketch(t: TTVector, frame: StreamFrame) -> SketchPair:

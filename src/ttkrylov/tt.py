@@ -8,6 +8,7 @@ is in float64.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -525,11 +526,42 @@ def _write_ints(fh, values):
     fh.write(np.asarray(values, dtype="<i8").tobytes())
 
 
-def _read_ints(fh, count):
-    data = fh.read(8 * count)
-    if len(data) != 8 * count:
-        raise ValueError("truncated TT container")
-    return np.frombuffer(data, dtype="<i8").tolist()
+def _read_cores(path, magic, kind, modes):
+    """The cores of a container: magic, d, ``modes`` lists of d dims, d+1
+    ranks, then the cores.  Raises ValueError when the header is out of
+    range or the payload is not exactly the cores the header announces."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.startswith(magic):
+        raise ValueError(f"not a TT {kind} container")
+    corrupt = f"corrupt TT {kind} container"
+    pos = len(magic)
+
+    def ints(count):
+        nonlocal pos
+        start, pos = pos, pos + 8 * count
+        if len(data) < pos:
+            raise ValueError(f"{corrupt}: truncated header")
+        return np.frombuffer(data, dtype="<i8", count=count, offset=start).tolist()
+
+    (d,) = ints(1)
+    if d < 1:
+        raise ValueError(f"{corrupt}: d = {d}")
+    dims = [ints(d) for _ in range(modes)]
+    ranks = ints(d + 1)
+    if min(map(min, dims)) < 1 or min(ranks) < 1 or ranks[0] != 1 or ranks[-1] != 1:
+        raise ValueError(f"{corrupt}: dims {dims}, ranks {ranks}")
+    shapes = [(ranks[k], *(m[k] for m in dims), ranks[k + 1]) for k in range(d)]
+    sizes = [math.prod(shape) for shape in shapes]
+    if len(data) - pos != 8 * sum(sizes):
+        raise ValueError(
+            f"{corrupt}: payload has {len(data) - pos} bytes, the header announces {8 * sum(sizes)}"
+        )
+    cores = []
+    for shape, size in zip(shapes, sizes):
+        cores.append(np.frombuffer(data, dtype="<f8", count=size, offset=pos).reshape(shape).copy())
+        pos += 8 * size
+    return cores
 
 
 def save_vector(path, v: TTVector) -> None:
@@ -544,20 +576,7 @@ def save_vector(path, v: TTVector) -> None:
 
 
 def load_vector(path) -> TTVector:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_VEC_MAGIC))
-        if magic != _VEC_MAGIC:
-            raise ValueError("not a TT vector container")
-        (d,) = _read_ints(fh, 1)
-        dims = _read_ints(fh, d)
-        ranks = _read_ints(fh, d + 1)
-        cores = []
-        for k in range(d):
-            shape = (ranks[k], dims[k], ranks[k + 1])
-            count = int(np.prod(shape))
-            data = np.frombuffer(fh.read(8 * count), dtype="<f8")
-            cores.append(data.reshape(shape).copy())
-    return TTVector(cores)
+    return TTVector(_read_cores(path, _VEC_MAGIC, "vector", 1))
 
 
 def save_operator(path, a: TTOperator) -> None:
@@ -573,18 +592,4 @@ def save_operator(path, a: TTOperator) -> None:
 
 
 def load_operator(path) -> TTOperator:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_OP_MAGIC))
-        if magic != _OP_MAGIC:
-            raise ValueError("not a TT operator container")
-        (d,) = _read_ints(fh, 1)
-        row_dims = _read_ints(fh, d)
-        col_dims = _read_ints(fh, d)
-        ranks = _read_ints(fh, d + 1)
-        cores = []
-        for k in range(d):
-            shape = (ranks[k], row_dims[k], col_dims[k], ranks[k + 1])
-            count = int(np.prod(shape))
-            data = np.frombuffer(fh.read(8 * count), dtype="<f8")
-            cores.append(data.reshape(shape).copy())
-    return TTOperator(cores)
+    return TTOperator(_read_cores(path, _OP_MAGIC, "operator", 2))

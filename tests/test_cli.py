@@ -1,9 +1,12 @@
+import argparse
+import configparser
 import csv
-import os
+import dataclasses
 
 import pytest
 
-from ttkrylov.cli import CSV_HEADER, main
+from ttkrylov.cli import CSV_HEADER, build_solver_config, main
+from ttkrylov.solvers import PHASES, SolverConfig
 
 
 def write_cfg(path, text):
@@ -102,6 +105,7 @@ class TestCompare:
         with open(tmp_path / "summary.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["variant"] for r in rows] == ["tt_gmres", "tt_sgmres"]
+        assert {"variant", "iterations", "time", "peak_rank", "converged"} <= set(rows[0])
 
     def test_single_variant_matches_solve(self, tmp_path):
         cfg = write_cfg(
@@ -144,3 +148,46 @@ class TestSweep:
         with open(tmp_path / "sweep.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2
+
+
+NO_OVERRIDES = argparse.Namespace(maxit=None, tol=None, seed=None, track_true_residual=False)
+
+# a value other than the default for every SolverConfig field
+FIELD_VALUES = {
+    "maxit": 7, "tol": 1e-3, "ell": 2, "eta": 0.5, "max_rank": 9,
+    "sketch_rows": 333, "oversampling": 11, "solution_rank": 13,
+    "combine_mode": "stta", "seed": 42, "track_true_residual": True,
+    "force_iterations": True,
+}
+
+
+class TestSolverConfigKeys:
+    def test_type_only_gives_defaults(self):
+        cp = configparser.ConfigParser()
+        cp.read_dict({"solver": {"type": "tt_sgmres"}})
+        assert build_solver_config(cp, NO_OVERRIDES) == SolverConfig()
+
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SolverConfig)])
+    def test_field_reaches_config(self, name):
+        value = FIELD_VALUES[name]
+        raw = str(value).lower() if isinstance(value, bool) else str(value)
+        # track_true_residual is an [output] key
+        section = "output" if name == "track_true_residual" else "solver"
+        cp = configparser.ConfigParser()
+        cp.read_dict({"solver": {"type": "tt_sgmres"}, "output": {}})
+        cp[section][name] = raw
+        cfg = build_solver_config(cp, NO_OVERRIDES)
+        assert getattr(cfg, name) == value
+        assert getattr(SolverConfig(), name) != value
+
+
+class TestTraceColumns:
+    def test_header_follows_phases(self, tmp_path):
+        assert CSV_HEADER[:4] == ["iter", "res_sketched", "res_true", "max_rank"]
+        assert CSV_HEADER[4:] == [f"t_{p}" for p in PHASES]
+        assert "t_recovery" in CSV_HEADER
+        cfg = write_cfg(tmp_path / "m.cfg", BASE_PDE)
+        main(["solve", cfg, "--out-dir", str(tmp_path), "--track-true-residual"])
+        with open(tmp_path / "run.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert all(float(r["t_recovery"]) > 0 for r in rows)

@@ -355,6 +355,18 @@ class TestPreconditionedSolver:
         assert rep.iterations <= 6
         assert true_residual(op, rhs, x) <= 1e-7
 
+    def test_nonzero_initial_guess(self):
+        # x = x0 + P^{-1} u: the preconditioner must not be applied to x0
+        spec = ConvectionDiffusionSpec(d=3, n=8)
+        op, rhs = convection_diffusion(spec)
+        p = ExpSumPreconditioner.from_kron_sum(cd_factor_matrices(spec), 5, RoundSpec(1e-10))
+        cfg = SolverConfig(maxit=40, tol=1e-8)
+        s = kr_sketch_new(rhs.dims, cfg.sketch_rows, seed=0)
+        x0 = tt_random(rhs.dims, [2, 2], seed=1)
+        x, rep = tt_spgmres(op, p, rhs, x0, cfg, s)
+        assert rep.converged
+        assert true_residual(op, rhs, x) <= 1e-7
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("solver", ["gmres", "sgmres", "sgmres-stta", "spgmres"])

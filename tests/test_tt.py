@@ -552,6 +552,31 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_vector(p)
 
+    @pytest.mark.parametrize("kind", ["vector", "operator"])
+    @pytest.mark.parametrize("damage", ["trailing bytes", "truncated payload"])
+    def test_payload_length_checked(self, tmp_path, kind, damage):
+        p = tmp_path / "x.ttk"
+        if kind == "vector":
+            save_vector(p, tt_random([3, 4], [2], seed=33))
+        else:
+            save_operator(p, random_operator([3, 4], [2, 2], [2], seed=34))
+        data = p.read_bytes()
+        p.write_bytes(data + bytes(8) if damage == "trailing bytes" else data[:-8])
+        with pytest.raises(ValueError, match="corrupt"):
+            (load_vector if kind == "vector" else load_operator)(p)
+
+    # header slots after the magic: d, dims[0], dims[1], ranks[0..2]
+    @pytest.mark.parametrize("slot,value", [(0, 0), (1, -3), (2, 0), (4, 0), (5, 2)],
+                             ids=["d", "negative dim", "zero dim", "zero rank", "boundary rank"])
+    def test_header_range_checked(self, tmp_path, slot, value):
+        p = tmp_path / "x.ttk"
+        save_vector(p, tt_random([3, 4], [2], seed=35))
+        data = bytearray(p.read_bytes())
+        data[8 + 8 * slot : 16 + 8 * slot] = np.int64(value).tobytes()
+        p.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="corrupt"):
+            load_vector(p)
+
 
 class TestMaxRank:
     def test_vector(self):
