@@ -49,22 +49,8 @@ import sys
 import time
 import typing
 
-
-class ConfigError(Exception):
-    pass
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("TTK_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
-
-
-_apply_thread_cap()
-
-from .precond import ExpSumPreconditioner  # noqa: E402  (thread cap must precede numpy)
-from .problems import (  # noqa: E402
+from .precond import ExpSumPreconditioner
+from .problems import (
     ConvectionDiffusionSpec,
     MarkovSpec,
     cd_factor_matrices,
@@ -72,8 +58,8 @@ from .problems import (  # noqa: E402
     markov_chain,
     markov_factor_matrices,
 )
-from .sketch import kr_sketch_new  # noqa: E402
-from .solvers import (  # noqa: E402
+from .sketch import kr_sketch_new
+from .solvers import (
     PHASES,
     SolverConfig,
     tt_gmres,
@@ -81,7 +67,12 @@ from .solvers import (  # noqa: E402
     tt_sgmres_vanilla,
     tt_spgmres,
 )
-from .tt import RoundSpec  # noqa: E402
+from .tt import RoundSpec
+
+
+class ConfigError(Exception):
+    pass
+
 
 CSV_HEADER = ["iter", "res_sketched", "res_true", "max_rank"] + [f"t_{p}" for p in PHASES]
 TABLE_HEADER = [

@@ -11,8 +11,8 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import linprog
 
-from .tt import RoundSpec, ShapeMismatch, TTVector, tt_add, tt_round, tt_scale
-from .streaming import StreamFrame, combine_pairs, stream_recover, stream_sketch
+from .tt import RoundedSum, RoundSpec, ShapeMismatch, TTVector, tt_round, tt_scale
+from .streaming import StreamedSum, StreamFrame
 
 _EVAL_POINTS = 1000
 
@@ -200,8 +200,11 @@ class ExpSumPreconditioner:
 
     Caches the zeta*d factor exponentials exp(-beta_j A_i) at
     construction; apply time is a sum of zeta rank-preserving mode
-    multiplications, accumulated either by sequential rounded additions
-    or in sketch space, then rounded per the apply-time RoundSpec.
+    multiplications.  ``accumulate`` picks the rounded sum that adds them:
+    ``"sequential"`` is a ``RoundedSum`` at the spec's tolerance, rounded
+    once more per the apply-time RoundSpec; ``"stream"`` is a
+    ``StreamedSum`` recovered at that spec, on a frame drawn per call with
+    ranks max_rank (or twice the input's largest rank) and ``stream_seed``.
     """
 
     def __init__(self, factors, alpha, beta, spec: RoundSpec,
@@ -255,17 +258,12 @@ class ExpSumPreconditioner:
         """Apply the approximate inverse of the Kronecker sum to v."""
         terms = self.terms(v)
         if self.accumulate == "sequential":
-            acc = terms[0]
-            inner = RoundSpec(self.spec.rel_tol, None)
-            for t in terms[1:]:
-                acc = tt_round(tt_add(acc, t), inner)
-            return tt_round(acc, self.spec)
-        # stream: combine all terms in sketch space, recover once
-        cap = self.spec.max_rank
-        base = max(max(t.ranks) for t in terms)
-        target = cap if cap is not None else 2 * base
-        ranks = [target] * (v.d - 1)
-        frame = StreamFrame.create(self.dims, ranks, seed=self.stream_seed)
-        pairs = [stream_sketch(t, frame) for t in terms]
-        comb = combine_pairs(pairs, [1.0] * len(pairs))
-        return stream_recover(comb, self.spec)
+            acc = RoundedSum(RoundSpec(self.spec.rel_tol))
+        else:
+            target = self.spec.max_rank or 2 * max(v.ranks)
+            frame = StreamFrame.create(self.dims, [target] * (v.d - 1), seed=self.stream_seed)
+            acc = StreamedSum(frame, self.spec)
+        for t in terms:
+            acc.add(t)
+        u = acc.combine([1.0] * len(terms))
+        return tt_round(u, self.spec) if self.accumulate == "sequential" else u

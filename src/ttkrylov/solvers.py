@@ -21,13 +21,18 @@ when preconditioned) and passes the result through three parts:
   vectors.  ``tt_gmres`` orthogonalizes against the whole basis and rounds
   A v and every step at the relaxed tolerance eta_k * tol.  The sketched
   variants orthogonalize against the last ell vectors and round once, at
-  eta * tol, after the last step; with ``combine_mode="stta"`` they form the
-  combination from the sketch pairs and recover it instead.
+  eta * tol, after the last step; with ``combine_mode="stta"`` the
+  assembly's ``StreamedSum`` forms the combination from the sketch pairs of
+  A v and of the window and recovers it instead (its sketch of A v counts
+  as rounding).
 * least squares: ``_HessenbergLsq`` (Givens-updated QR of the Hessenberg
   matrix) or ``_SketchedLsq`` (SVD least squares on the sketched basis).
-* assembly: ``_RoundedSum`` (x0 + sum_i y_i v_i by sequential rounded
-  additions over the stored basis) or ``_StreamedSum`` (one recovery from
-  the combined sketch pairs, then P^{-1} when preconditioned, then x0 added).
+* assembly: one of the two rounded linear combinations of TT vectors, which
+  the preconditioner uses too.  ``RoundedSum`` (``tt``) keeps the basis and
+  forms x0 + sum_i y_i v_i by sequential rounded additions;
+  ``StreamedSum`` (``streaming``) keeps only the sketch pairs of the basis
+  and forms u = sum_i y_i v_i by one recovery, after which the loop
+  applies P^{-1} when preconditioned and adds x0.
 
 A lucky breakdown ends the run as converged: the orthogonalized vector
 vanishes next to ||A v||, which is taken from the Hessenberg column as
@@ -41,13 +46,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .precond import ExpSumPreconditioner
 from .sketch import KhatriRaoSketch, kr_apply
-from .streaming import StreamFrame, combine_pairs, stream_recover, stream_sketch
+from .streaming import StreamedSum, StreamFrame
 from .tt import (
+    RoundedSum,
     RoundSpec,
     ShapeMismatch,
     TTOperator,
@@ -89,12 +96,14 @@ class SolverConfig:
     def __post_init__(self):
         if not (0 < self.tol < 1):
             raise ValueError("tol must lie in (0, 1)")
-        if self.ell < 1:
-            raise ValueError("ell must be >= 1")
         if not (0 < self.eta <= 1):
             raise ValueError("eta must lie in (0, 1]")
-        if self.maxit < 1:
-            raise ValueError("maxit must be >= 1")
+        for key in ("ell", "maxit", "max_rank", "solution_rank", "oversampling"):
+            value = getattr(self, key)
+            if value is not None and value < 1:
+                raise ValueError(f"{key} must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.combine_mode not in ("explicit", "stta"):
             raise ValueError("combine_mode must be 'explicit' or 'stta'")
         if self.sketch_rows is None:
@@ -269,48 +278,6 @@ class _SketchedLsq:
 
 
 # ---------------------------------------------------------------------------
-# assembly: add(basis vector); solution(y) -> x
-
-
-class _RoundedSum:
-    """x0 + sum_i y_i v_i by sequential additions rounded at tol; keeps every v_i."""
-
-    def __init__(self, x0, tol):
-        self.x0, self.spec, self.basis = x0, RoundSpec(tol), []
-
-    def add(self, v):
-        self.basis.append(v)
-
-    def solution(self, y):
-        x = self.x0
-        for v, c in zip(self.basis, y):
-            term = tt_scale(v, float(c))
-            x = term if x is None else tt_round(tt_add(x, term), self.spec)
-        return x
-
-
-class _StreamedSum:
-    """x0 + P^{-1} u, with u one recovery from the combined sketch pairs of
-    the v_i; x0 is added with one rounding at the solution spec."""
-
-    def __init__(self, frame, x0, spec, precond, timer):
-        self.frame, self.x0, self.spec, self.precond, self.timer = frame, x0, spec, precond, timer
-        self.pairs = []
-
-    def pair_of(self, v):
-        return self.timer.timed("sketch", stream_sketch, v, self.frame)
-
-    def add(self, v):
-        self.pairs.append(self.pair_of(v))
-
-    def solution(self, y):
-        u = stream_recover(combine_pairs(self.pairs[: len(y)], [float(c) for c in y]), self.spec)
-        if self.precond is not None:
-            u = self.precond.apply_inverse(u)
-        return u if self.x0 is None else tt_round(tt_add(self.x0, u), self.spec)
-
-
-# ---------------------------------------------------------------------------
 # the driver
 
 
@@ -345,22 +312,30 @@ def _krylov(a, b, x0, cfg: SolverConfig, sketch=None, frame=None, precond=None):
     else:
         lsq = _SketchedLsq(sketch, b, r0, timer, report.warnings)
     if frame is None:
-        assembly = _RoundedSum(x0, cfg.tol)
+        assembly = RoundedSum(RoundSpec(cfg.tol), start=x0)
+        keep = assembly.add
     else:
         sol_spec = RoundSpec(cfg.tol, default_solution_rank(b, cfg))
-        assembly = _StreamedSum(frame, x0, sol_spec, precond, timer)
+        assembly = StreamedSum(frame, sol_spec)
+        keep = partial(timer.timed, "sketch", assembly.add)
     stta = frame is not None and cfg.combine_mode == "stta"
     window_size = cfg.maxit + 1 if relaxed else cfg.ell
     window = [(0, v1)]  # (basis index, basis vector)
-    assembly.add(v1)
+    keep(v1)
     if cfg.track_true_residual:
         report.res_true = []
     spec = RoundSpec(cfg.eta * cfg.tol, cfg.max_rank)
     rel_res = beta / nb
     converged = False
 
+    pinv = (lambda v: v) if precond is None else precond.apply_inverse
+
     def expand(v):
-        return tt_matvec(a, v if precond is None else precond.apply_inverse(v))
+        return tt_matvec(a, pinv(v))
+
+    def solution(y):  # only the streamed sum leaves x0 to the loop
+        x = pinv(assembly.combine(y))
+        return x if frame is None or x0 is None else tt_round(tt_add(x0, x), sol_spec)
 
     for k in range(1, cfg.maxit + 1):
         # orthogonalize and round; w is rebound at every step so that no
@@ -382,18 +357,15 @@ def _krylov(a, b, x0, cfg: SolverConfig, sketch=None, frame=None, precond=None):
                     w = tt_round(w, spec)
         timer.add("orth", t0)
         if stta:
-            pairs = [assembly.pair_of(w)] + [assembly.pairs[i] for i, _ in window]
-            coeffs = [1.0] + [-col[i] for i, _ in window]
-            t0 = time.perf_counter()
-            w = stream_recover(combine_pairs(pairs, coeffs), spec)
-            timer.add("round", t0)
+            terms = [i for i, _ in window]
+            w = timer.timed("round", assembly.combine, -col[terms], spec, terms, w)
         elif not relaxed:
             w = timer.timed("round", tt_round, w, spec)
         hnew = col[k] = tt_norm(w)
         lucky = hnew <= _BREAKDOWN_FACTOR * np.linalg.norm(col)
         if not lucky:
             window.append((k, tt_scale(w, 1.0 / hnew)))
-            assembly.add(window[-1][1])
+            keep(window[-1][1])
         report.max_resident_basis = max(report.max_resident_basis, len(window))
         if len(window) > window_size:
             window.pop(0)
@@ -403,7 +375,7 @@ def _krylov(a, b, x0, cfg: SolverConfig, sketch=None, frame=None, precond=None):
         report.res_sketched.append(rel_res)
         report.basis_rank.append(max(window[-1][1].ranks))
         if cfg.track_true_residual:
-            x = timer.timed("recovery", assembly.solution, lsq.coefficients())
+            x = timer.timed("recovery", solution, lsq.coefficients())
             report.res_true.append(true_residual(a, b, x))
         timer.flush()
         hit = res <= lsq.scale * cfg.tol
@@ -413,7 +385,7 @@ def _krylov(a, b, x0, cfg: SolverConfig, sketch=None, frame=None, precond=None):
                 report.warnings.append(f"iteration {k}: sketched basis stopped growing")
             break
 
-    x = timer.timed("recovery", assembly.solution, lsq.coefficients())
+    x = timer.timed("recovery", solution, lsq.coefficients())
     timer.flush(fold=True)
     report.converged = converged
     report.iterations = k

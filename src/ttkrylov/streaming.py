@@ -140,16 +140,11 @@ def combine_pairs(pairs, coeffs) -> SketchPair:
     psi = [c * coeffs[0] for c in first.psi]
     omega = [c * coeffs[0] for c in first.omega]
     for p, a in zip(pairs[1:], coeffs[1:]):
-        if p.dims != first.dims:
-            raise ShapeMismatch("pairs come from different frames")
-        for k, m in enumerate(p.psi):
-            if m.shape != psi[k].shape:
+        for acc, mats in ((psi, p.psi), (omega, p.omega)):
+            if p.dims != first.dims or [m.shape for m in mats] != [m.shape for m in acc]:
                 raise ShapeMismatch("pairs come from different frames")
-            psi[k] += a * m
-        for k, m in enumerate(p.omega):
-            if m.shape != omega[k].shape:
-                raise ShapeMismatch("pairs come from different frames")
-            omega[k] += a * m
+            for k, m in enumerate(mats):
+                acc[k] += a * m
     return SketchPair(psi, omega, first.dims)
 
 
@@ -193,3 +188,27 @@ def stream_recover(pair: SketchPair, spec: RoundSpec = RoundSpec()) -> TTVector:
             block = np.tensordot(block, right_half[mu], axes=([2], [0]))
         cores.append(block)
     return tt_round(TTVector(cores), spec)
+
+
+class StreamedSum:
+    """Linear combinations sum_i c_i t_i of TT vectors, from sketches only.
+
+    ``add`` keeps only the sketch pair of a term against ``frame``;
+    ``combine(coeffs)`` forms the combined pair (sketches are linear) and
+    recovers it once, rounded at ``spec``.
+    """
+
+    def __init__(self, frame: StreamFrame, spec: RoundSpec):
+        self.frame, self.spec, self._pairs = frame, spec, []
+
+    def add(self, t: TTVector) -> None:
+        self._pairs.append(stream_sketch(t, self.frame))
+
+    def combine(self, coeffs, spec=None, terms=None, lead=None) -> TTVector:
+        """Recover sum_i coeffs[i] t_{terms[i]} at ``spec`` (default: the
+        sum's own).  ``terms`` defaults to the first len(coeffs) terms; a
+        ``lead`` vector is sketched and enters first, with coefficient 1."""
+        pairs = self._pairs[: len(coeffs)] if terms is None else [self._pairs[i] for i in terms]
+        if lead is not None:
+            pairs, coeffs = [stream_sketch(lead, self.frame), *pairs], [1.0, *coeffs]
+        return stream_recover(combine_pairs(pairs, coeffs), spec or self.spec)

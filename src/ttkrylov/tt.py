@@ -294,15 +294,31 @@ def tt_scale(a: TTVector, alpha: float) -> TTVector:
 
 
 def tt_dot(a: TTVector, b: TTVector) -> float:
-    """Euclidean inner product via left-to-right core contraction."""
+    """Euclidean inner product via left-to-right core contraction.
+
+    When the plain contraction overflows, it is repeated with the cores
+    and the running contraction scaled to unit magnitude by powers of two
+    and the exponents summed apart, so only the result itself can
+    overflow.
+    """
     if a.dims != b.dims:
         raise ShapeMismatch(f"dims differ: {a.dims} vs {b.dims}")
-    m = np.ones((1, 1))
-    for ca, cb in zip(a.cores, b.cores):
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _dot_chain(a.cores, b.cores, scaled=False)
+    return out if np.isfinite(out) else _dot_chain(a.cores, b.cores, scaled=True)
+
+
+def _dot_chain(acores, bcores, scaled):
+    m, exp = np.ones((1, 1)), 0
+    for ca, cb in zip(acores, bcores):
+        if scaled:  # largest entries into [0.5, 1); exact for powers of two
+            exps = [np.frexp(np.max(np.abs(x), initial=0.0))[1] for x in (ca, cb, m)]
+            ca, cb, m = (np.ldexp(x, -e) for x, e in zip((ca, cb, m), exps))
+            exp += sum(exps)
         # m: (ra, rb); update to (ra', rb')
         tmp = np.tensordot(m, ca, axes=([0], [0]))  # (rb, n, ra')
         m = np.tensordot(tmp, cb, axes=([0, 1], [0, 1]))  # (ra', rb')
-    return float(m[0, 0])
+    return float(np.ldexp(m[0, 0], exp))
 
 
 def tt_norm(a: TTVector) -> float:
@@ -443,6 +459,28 @@ def tt_round(v: TTVector, spec: RoundSpec) -> TTVector:
     r0, n, _ = cores[-1].shape
     out.append((carry @ cores[-1].reshape(r0, n)).reshape(-1, n, 1))
     return TTVector(out)
+
+
+class RoundedSum:
+    """Linear combinations start + sum_i c_i t_i of kept TT vectors.
+
+    ``add`` keeps a term whole; ``combine(coeffs)`` adds the scaled terms
+    to the start one at a time and rounds each partial sum at ``spec``.
+    Without a start the first scaled term is taken as it is.
+    """
+
+    def __init__(self, spec: RoundSpec, start: TTVector | None = None):
+        self.spec, self.start, self.terms = spec, start, []
+
+    def add(self, t: TTVector) -> None:
+        self.terms.append(t)
+
+    def combine(self, coeffs) -> TTVector:
+        x = self.start
+        for t, c in zip(self.terms, coeffs):
+            term = tt_scale(t, float(c))
+            x = term if x is None else tt_round(tt_add(x, term), self.spec)
+        return x
 
 
 def max_rank(v) -> int:

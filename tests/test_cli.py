@@ -2,9 +2,14 @@ import argparse
 import configparser
 import csv
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ttkrylov
 from ttkrylov.cli import CSV_HEADER, build_solver_config, main
 from ttkrylov.solvers import PHASES, SolverConfig
 
@@ -75,6 +80,27 @@ class TestSolve:
         cfg = write_cfg(tmp_path / "e.cfg", "[problem]\ntype = convection_diffusion\nd = 3\n\n[solver]\ntype = tt_sgmres\n")
         assert main(["solve", cfg, "--out-dir", str(tmp_path)]) == 1
         assert "'n'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("max_rank", "0"), ("solution_rank", "0"), ("oversampling", "0"), ("seed", "-1")],
+    )
+    def test_out_of_range_key_is_config_error(self, tmp_path, key, value):
+        cp = configparser.ConfigParser()
+        cp.read_string(BASE_PDE)
+        cp["solver"][key] = value
+        with open(tmp_path / "bad.cfg", "w") as fh:
+            cp.write(fh)
+        env = dict(os.environ, PYTHONPATH=str(Path(ttkrylov.__file__).resolve().parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "ttkrylov.cli", "solve", str(tmp_path / "bad.cfg"),
+             "--out-dir", str(tmp_path)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("config error")
+        assert key in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_maxit_exhausted_exits_2(self, tmp_path):
         cfg = write_cfg(tmp_path / "f.cfg", BASE_PDE.replace("maxit = 60", "maxit = 3"))

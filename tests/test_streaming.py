@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttkrylov.streaming import (
     DegenerateRecovery,
     SketchPair,
+    StreamedSum,
     StreamFrame,
     combine_pairs,
     stream_recover,
@@ -259,3 +262,69 @@ class TestExactRecoveryProperty:
 
         if batch(4000) > 0:
             assert batch(6000) == 0
+
+
+# ---------------------------------------------------------------------------
+# property tests against dense oracles: a frame whose recovery ranks cover
+# the tensor's ranks recovers it to roundoff, then rounds at the spec
+
+
+@st.composite
+def _terms(draw):
+    """(dims, rank profiles of 1 to 3 terms, coefficients, seed)."""
+    dims = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    count = draw(st.integers(1, 3))
+    profiles = [
+        draw(st.lists(st.integers(1, 3), min_size=len(dims) - 1, max_size=len(dims) - 1))
+        for _ in range(count)
+    ]
+    coeffs = draw(st.lists(
+        st.floats(-2, 2).filter(lambda c: c == 0 or abs(c) >= 1e-3), min_size=count, max_size=count
+    ))
+    return dims, profiles, coeffs, draw(st.integers(0, 2**32 - 1))
+
+
+_RECOVERY_SLACK = 1e-8
+
+
+class TestRecoveryProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(case=_terms(), oversampling=st.integers(1, 6),
+           rel_tol=st.sampled_from([0.0, 1e-10, 1e-4, 1e-1]))
+    def test_recover_covered_tensor(self, case, oversampling, rel_tol):
+        dims, (ranks, *_), _, seed = case
+        v = tt_random(dims, ranks, seed=seed)
+        frame = StreamFrame.create(dims, v.ranks[1:-1], oversampling=oversampling, seed=seed + 1)
+        w = stream_recover(stream_sketch(v, frame), RoundSpec(rel_tol))
+        want = tt_to_dense(v)
+        err = np.linalg.norm(tt_to_dense(w) - want)
+        assert err <= (rel_tol + _RECOVERY_SLACK) * np.linalg.norm(want)
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=_terms(), oversampling=st.integers(1, 6),
+           rel_tol=st.sampled_from([0.0, 1e-10, 1e-4, 1e-1]))
+    def test_streamed_sum_against_dense(self, case, oversampling, rel_tol):
+        dims, profiles, coeffs, seed = case
+        terms = [tt_random(dims, r, seed=seed + i) for i, r in enumerate(profiles)]
+        # the sum's ranks are at most the sums of the terms' ranks
+        cover = [sum(t.ranks[k] for t in terms) for k in range(1, len(dims))]
+        frame = StreamFrame.create(dims, cover, oversampling=oversampling, seed=seed + 7)
+        acc = StreamedSum(frame, RoundSpec(rel_tol))
+        for t in terms:
+            acc.add(t)
+        want = sum(c * tt_to_dense(t) for c, t in zip(coeffs, terms))
+        scale = sum(abs(c) * tt_norm(t) for c, t in zip(coeffs, terms))
+        err = np.linalg.norm(tt_to_dense(acc.combine(coeffs)) - want)
+        assert err <= rel_tol * np.linalg.norm(want) + _RECOVERY_SLACK * scale
+
+    def test_combine_picks_terms_and_lead(self):
+        dims = [3, 4, 3]
+        frame = StreamFrame.create(dims, [6, 6], oversampling=4, seed=50)
+        terms = [tt_random(dims, [2, 2], seed=51 + i) for i in range(3)]
+        acc = StreamedSum(frame, RoundSpec(0.0))
+        for t in terms:
+            acc.add(t)
+        lead = tt_random(dims, [1, 1], seed=55)
+        got = acc.combine([0.5, -2.0], RoundSpec(0.0), terms=[2, 0], lead=lead)
+        want = tt_to_dense(lead) + 0.5 * tt_to_dense(terms[2]) - 2.0 * tt_to_dense(terms[0])
+        assert rel_err(tt_to_dense(got), want) <= 1e-10

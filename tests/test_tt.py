@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ttkrylov.tt import (
     NonFiniteCore,
+    RoundedSum,
     RoundSpec,
     ShapeMismatch,
     SizeLimit,
@@ -215,6 +217,27 @@ class TestDotNorm:
         # norm (2e20)**10 ~ 1e203: its square is not a float64
         a = tt_rank_one([np.full(4, 1e20)] * 10)
         assert tt_norm(a) == pytest.approx(2e20**10, rel=1e-12)
+
+    def test_dot_past_partial_overflow(self):
+        # the contraction after two cores, 1.6e401, is not a float64; the
+        # result, ||a|| * ||b|| = 6.4e101, is
+        a = tt_rank_one([np.full(4, 1e200), np.full(4, 1e200), np.full(4, 1e-300)])
+        b = tt_rank_one([np.ones(4)] * 3)
+        with np.errstate(all="raise"):
+            assert tt_dot(a, b) == pytest.approx(6.4e101, rel=1e-12)
+            assert tt_dot(b, a) == pytest.approx(6.4e101, rel=1e-12)
+
+    def test_dot_past_overflow_in_one_core(self):
+        # 1e300 * 1e100 overflows inside the first core's contraction
+        a = tt_rank_one([np.full(3, 1e300), np.full(3, 1e-300)])
+        b = tt_rank_one([np.full(3, 1e100), np.full(3, 1e-100)])
+        assert tt_dot(a, b) == pytest.approx(9.0, rel=1e-12)
+
+    def test_dot_scale_invariant_by_powers_of_two(self):
+        a = tt_random([4, 5, 4], [3, 2], seed=14)
+        b = tt_random([4, 5, 4], [2, 3], seed=15)
+        big = tt_dot(tt_scale(a, 2.0**700), tt_scale(b, 2.0**300))
+        assert big * 2.0**-1000 == tt_dot(a, b)
 
 
 class TestMatvec:
@@ -584,3 +607,122 @@ class TestMaxRank:
 
     def test_operator(self):
         assert max_rank(identity_operator([2, 2, 2])) == 1
+
+
+# ---------------------------------------------------------------------------
+# property tests of the TT algebra against dense oracles
+
+
+@st.composite
+def tt_shapes(draw):
+    """(dims, interior ranks, seed) of a small random TT vector."""
+    dims = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    ranks = draw(st.lists(st.integers(1, 3), min_size=len(dims) - 1, max_size=len(dims) - 1))
+    return dims, ranks, draw(st.integers(0, 2**32 - 1))
+
+
+def _core_norm_product(cores):
+    # bounds every entry of the dense tensor and its contraction error
+    return float(np.prod([np.linalg.norm(c) for c in cores]))
+
+
+_COEFF = st.floats(-2, 2).filter(lambda c: c == 0 or abs(c) >= 1e-3)
+
+
+class TestAlgebraProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(shape=tt_shapes(), data=st.data())
+    def test_add_against_dense(self, shape, data):
+        dims, ranks, seed = shape
+        ranks_b = data.draw(st.permutations(ranks))
+        a, b = tt_random(dims, ranks, seed=seed), tt_random(dims, ranks_b, seed=seed + 1)
+        s = tt_add(a, b)
+        assert s.ranks[1:-1] == tuple(x + y for x, y in zip(a.ranks[1:-1], b.ranks[1:-1]))
+        slack = 1e-12 * (_core_norm_product(a.cores) + _core_norm_product(b.cores))
+        assert np.max(np.abs(tt_to_dense(s) - tt_to_dense(a) - tt_to_dense(b))) <= slack
+
+    @settings(max_examples=50, deadline=None)
+    @given(shape=tt_shapes(), data=st.data())
+    def test_matvec_against_dense(self, shape, data):
+        col_dims, ranks, seed = shape
+        row_dims = data.draw(st.lists(st.integers(1, 4), min_size=len(col_dims), max_size=len(col_dims)))
+        op_ranks = data.draw(st.lists(st.integers(1, 3), min_size=len(col_dims) - 1, max_size=len(col_dims) - 1))
+        a = random_operator(row_dims, col_dims, op_ranks, seed=seed)
+        v = tt_random(col_dims, ranks, seed=seed + 1)
+        av = tt_matvec(a, v)
+        assert av.dims == tuple(row_dims)
+        want = tt_op_to_dense(a) @ tt_to_dense(v).ravel()
+        slack = 1e-12 * _core_norm_product(a.op_cores) * _core_norm_product(v.cores)
+        assert np.max(np.abs(tt_to_dense(av).ravel() - want)) <= slack
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        shape=tt_shapes(),
+        coeffs=st.lists(_COEFF, min_size=1, max_size=4),
+        with_start=st.booleans(),
+        rel_tol=st.sampled_from([0.0, 1e-10, 1e-4, 1e-1]),
+    )
+    def test_rounded_sum_against_dense(self, shape, coeffs, with_start, rel_tol):
+        dims, ranks, seed = shape
+        terms = [tt_random(dims, ranks, seed=seed + i) for i in range(len(coeffs))]
+        start = tt_random(dims, ranks[::-1], seed=seed + 99) if with_start else None
+        acc = RoundedSum(RoundSpec(rel_tol), start=start)
+        for t in terms:
+            acc.add(t)
+        got = tt_to_dense(acc.combine(coeffs))
+        # each partial sum S_k is rounded once: the errors e_k obey
+        # e_k <= (1 + tol) e_{k-1} + tol ||S_k||
+        partial = np.zeros(dims) if start is None else tt_to_dense(start)
+        sums = []
+        for c, t in zip(coeffs, terms):
+            partial = partial + c * tt_to_dense(t)
+            sums.append(np.linalg.norm(partial))
+        scale = sum(abs(c) * tt_norm(t) for c, t in zip(coeffs, terms))
+        scale += 0.0 if start is None else tt_norm(start)
+        bound = rel_tol * (1 + rel_tol) ** len(coeffs) * sum(sums) + 1e-12 * scale
+        assert np.linalg.norm(got - partial) <= bound
+
+    def test_rounded_sum_keeps_first_term_unrounded(self):
+        t = tt_add(tt_random([3, 4, 3], [2, 2], seed=40), tt_random([3, 4, 3], [2, 2], seed=41))
+        acc = RoundedSum(RoundSpec(0.5))
+        acc.add(t)
+        out = acc.combine([2.0])
+        assert out.ranks == t.ranks
+        assert np.array_equal(tt_to_dense(out), tt_to_dense(tt_scale(t, 2.0)))
+
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, width=64)
+
+
+@st.composite
+def _cores(draw, modes):
+    """Cores of d <= 3 modes with any float64 entries, NaN and inf included."""
+    d = draw(st.integers(1, 3))
+    dims = [draw(st.lists(st.integers(1, 3), min_size=d, max_size=d)) for _ in range(modes)]
+    ranks = [1] + draw(st.lists(st.integers(1, 3), min_size=d - 1, max_size=d - 1)) + [1]
+    return [
+        draw(arrays(np.float64, (ranks[k], *(m[k] for m in dims), ranks[k + 1]), elements=_ANY_FLOAT))
+        for k in range(d)
+    ]
+
+
+def _same_bits(got, want):
+    return len(got) == len(want) and all(
+        g.shape == w.shape and g.tobytes() == w.tobytes() for g, w in zip(got, want)
+    )
+
+
+class TestSerializationProperties:
+    @settings(max_examples=40, deadline=None)
+    @given(cores=_cores(modes=1))
+    def test_vector_round_trip_is_bitwise(self, tmp_path_factory, cores):
+        p = tmp_path_factory.mktemp("vec") / "v.ttk"
+        save_vector(p, TTVector(cores))
+        assert _same_bits(load_vector(p).cores, cores)
+
+    @settings(max_examples=40, deadline=None)
+    @given(cores=_cores(modes=2))
+    def test_operator_round_trip_is_bitwise(self, tmp_path_factory, cores):
+        p = tmp_path_factory.mktemp("op") / "a.ttk"
+        save_operator(p, TTOperator(cores))
+        assert _same_bits(load_operator(p).op_cores, cores)

@@ -7,7 +7,10 @@ Run from the repository root::
 Runs the four GMRES variants on small convection-diffusion and Markov
 problems over fixed seeds, with ``ell`` 1 and 2 and both ``combine_mode``
 values (``tt_gmres`` ignores both, ``tt_sgmres_vanilla`` ignores
-``combine_mode``), from a zero and from a random initial guess.  For each run
+``combine_mode``), from a zero and from a random initial guess.
+``tt_spgmres`` runs twice per setting: with a preconditioner that
+accumulates its terms by sequential rounded additions and with one that
+accumulates them in sketch space (``accumulate="stream"``).  For each run
 it prints two SHA-256 digests:
 
 * ``run``: iterations, converged, the sketched and true residual histories,
@@ -49,12 +52,16 @@ def problems():
 
 
 def variants():
-    yield "tt_gmres", 1, "explicit"
+    """(solver, ell, combine_mode, preconditioner accumulation or None)."""
+    yield "tt_gmres", 1, "explicit", None
     for ell in (1, 2):
-        yield "tt_sgmres_vanilla", ell, "explicit"
+        yield "tt_sgmres_vanilla", ell, "explicit", None
         for mode in ("explicit", "stta"):
-            yield "tt_sgmres", ell, mode
-            yield "tt_spgmres", ell, mode
+            yield "tt_sgmres", ell, mode, None
+            yield "tt_spgmres", ell, mode, "sequential"
+    for ell in (1, 2):
+        for mode in ("explicit", "stta"):
+            yield "tt_spgmres", ell, mode, "stream"
 
 
 def solve(name, op, rhs, x0, cfg, precond):
@@ -89,19 +96,28 @@ def digests(x, rep):
 def main():
     for pname, op, rhs, factors in problems():
         spec = ttk.RoundSpec(0.3 * 1e-8)
-        precond = ttk.ExpSumPreconditioner.from_kron_sum(factors, PRECOND_ZETA, spec)
+        seq = ttk.ExpSumPreconditioner.from_kron_sum(factors, PRECOND_ZETA, spec)
+        preconds = {
+            "sequential": seq,
+            "stream": ttk.ExpSumPreconditioner(
+                factors, seq.alpha, seq.beta, spec, accumulate="stream",
+                quad_bound=seq.quad_bound, stream_seed=7,
+            ),
+        }
         for seed in SEEDS:
             for guess in ("zero", "random"):
                 x0 = None if guess == "zero" else ttk.tt_random(rhs.dims, [2, 2], seed=100 + seed)
-                for name, ell, mode in variants():
+                for name, ell, mode, acc in variants():
                     cfg = ttk.SolverConfig(
                         maxit=30, tol=1e-8, ell=ell, seed=seed, solution_rank=12,
                         combine_mode=mode, track_true_residual=True,
                     )
-                    x, rep = solve(name, op, rhs, x0, cfg, precond)
+                    x, rep = solve(name, op, rhs, x0, cfg, preconds.get(acc))
                     run, rank = digests(x, rep)
                     label = f"{pname} seed={seed} x0={guess} {name} ell={ell} {mode}"
-                    print(f"{label:<52} iters={rep.iterations:<3} run={run} rank={rank}")
+                    if acc == "stream":
+                        label += " stream"
+                    print(f"{label:<59} iters={rep.iterations:<3} run={run} rank={rank}")
 
 
 if __name__ == "__main__":
