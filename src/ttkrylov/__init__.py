@@ -17,7 +17,7 @@ from .problems import (
     markov_factor_matrices,
     markov_generator,
 )
-from .sketch import KhatriRaoSketch, kr_apply, kr_sketch_new, kron_sketch_apply
+from .sketch import KhatriRaoSketch, kr_apply, kr_sketch_new
 from .solvers import (
     SolveReport,
     SolverConfig,

@@ -69,22 +69,6 @@ def kr_apply(s: KhatriRaoSketch, v: TTVector) -> np.ndarray:
     return out
 
 
-def kron_sketch_apply(factors, v: TTVector) -> TTVector:
-    """Kronecker-product sketch: mode-wise factor application (reference).
-
-    Output core k is C_k contracted with S_k along the mode index; ranks
-    are unchanged.  Kept as a test oracle, not a production path.
-    """
-    factors = [np.asarray(f, dtype=np.float64) for f in factors]
-    if tuple(f.shape[1] for f in factors) != v.dims:
-        raise ShapeMismatch("factor column counts must match vector dims")
-    cores = []
-    for f, c in zip(factors, v.cores):
-        g = np.tensordot(c, f, axes=([1], [1]))  # (r0, r1, s_k)
-        cores.append(g.transpose(0, 2, 1))
-    return TTVector(cores)
-
-
 def kr_dense_matrix(s: KhatriRaoSketch, max_entries: int = 1_000_000) -> np.ndarray:
     """Materialize the full s x prod(n_k) sketch matrix (small cases only)."""
     total = s.rows * int(np.prod(s.dims, dtype=np.int64))

@@ -12,27 +12,30 @@ Four variants run one driver loop (``_krylov``) and share one report format:
                            memory: only the last ell basis vectors stay
                            resident, the solution is recovered from
                            accumulated streaming sketches.
-* ``tt_spgmres``        -- right-preconditioned ``tt_sgmres``.
+* ``tt_spgmres``        -- flexibly right-preconditioned ``tt_sgmres``.
 
-Each iteration expands the newest basis vector by one matvec (after P^{-1}
-when preconditioned) and passes the result through three parts:
+Each iteration expands the newest basis vector v_k: the preconditioned
+variant applies z_k = P^{-1} v_k (otherwise z_k = v_k), the assembly keeps
+z_k, and A z_k passes through three parts:
 
 * orthogonalize and round: modified Gram-Schmidt against a window of basis
   vectors.  ``tt_gmres`` orthogonalizes against the whole basis and rounds
   A v and every step at the relaxed tolerance eta_k * tol.  The sketched
   variants orthogonalize against the last ell vectors and round once, at
-  eta * tol, after the last step; with ``combine_mode="stta"`` the
-  assembly's ``StreamedSum`` forms the combination from the sketch pairs of
-  A v and of the window and recovers it instead (its sketch of A v counts
-  as rounding).
+  eta * tol, after the last step.  With ``combine_mode="stta"`` they
+  combine the sketch pairs of A z and of the window vectors instead and
+  recover the result once (its sketch of A z counts as rounding); the
+  window keeps the pairs of its at most ell vectors, which are the
+  assembly's own pairs when z_k is v_k.
 * least squares: ``_HessenbergLsq`` (Givens-updated QR of the Hessenberg
   matrix) or ``_SketchedLsq`` (SVD least squares on the sketched basis).
 * assembly: one of the two rounded linear combinations of TT vectors, which
-  the preconditioner uses too.  ``RoundedSum`` (``tt``) keeps the basis and
-  forms x0 + sum_i y_i v_i by sequential rounded additions;
-  ``StreamedSum`` (``streaming``) keeps only the sketch pairs of the basis
-  and forms u = sum_i y_i v_i by one recovery, after which the loop
-  applies P^{-1} when preconditioned and adds x0.
+  the preconditioner uses too, started at x0.  Every solution and every
+  tracked true residual's x is its ``combine(y)`` = x0 + sum_i y_i z_i, the
+  vectors whose images the least squares fitted (flexible GMRES, Saad
+  1993): no P^{-1} follows it.  ``RoundedSum`` (``tt``) keeps the z_i and
+  adds them by sequential rounded additions; ``StreamedSum``
+  (``streaming``) keeps only their sketch pairs and recovers the sum once.
 
 A lucky breakdown ends the run as converged: the orthogonalized vector
 vanishes next to ||A v||, which is taken from the Hessenberg column as
@@ -52,7 +55,7 @@ import numpy as np
 
 from .precond import ExpSumPreconditioner
 from .sketch import KhatriRaoSketch, kr_apply
-from .streaming import StreamedSum, StreamFrame
+from .streaming import StreamedSum, StreamFrame, combine_pairs, stream_recover, stream_sketch
 from .tt import (
     RoundedSum,
     RoundSpec,
@@ -285,7 +288,7 @@ def _krylov(a, b, x0, cfg: SolverConfig, sketch=None, frame=None, precond=None):
     """The Krylov loop of all four variants (see the module docstring).
 
     Without a sketch it is ``tt_gmres``; with a frame the solution is
-    streamed, otherwise summed from the stored basis.
+    streamed, otherwise summed from the kept z_i.
     """
     if a.col_dims != b.dims or a.row_dims != b.dims:
         raise ShapeMismatch("operator dims do not match the right-hand side")
@@ -305,7 +308,6 @@ def _krylov(a, b, x0, cfg: SolverConfig, sketch=None, frame=None, precond=None):
         # b = 0 is solved by x = 0 whatever x0 is; b - A x0 = 0 by x0
         report.converged = True
         return (tt_zero(b.dims) if nb == 0 else x0.copy()), report
-    v1 = tt_scale(r0, 1.0 / beta)
     relaxed = sketch is None
     if relaxed:
         lsq = _HessenbergLsq(cfg.maxit, beta, nb)
@@ -316,36 +318,33 @@ def _krylov(a, b, x0, cfg: SolverConfig, sketch=None, frame=None, precond=None):
         keep = assembly.add
     else:
         sol_spec = RoundSpec(cfg.tol, default_solution_rank(b, cfg))
-        assembly = StreamedSum(frame, sol_spec)
+        assembly = StreamedSum(frame, sol_spec, start=x0)
         keep = partial(timer.timed, "sketch", assembly.add)
     stta = frame is not None and cfg.combine_mode == "stta"
     window_size = cfg.maxit + 1 if relaxed else cfg.ell
-    window = [(0, v1)]  # (basis index, basis vector)
-    keep(v1)
+    window = [(0, tt_scale(r0, 1.0 / beta))]  # (basis index, basis vector)
+    pairs = {}  # stta: the sketch pair of each window vector, by basis index
     if cfg.track_true_residual:
         report.res_true = []
     spec = RoundSpec(cfg.eta * cfg.tol, cfg.max_rank)
     rel_res = beta / nb
     converged = False
-
     pinv = (lambda v: v) if precond is None else precond.apply_inverse
 
-    def expand(v):
-        return tt_matvec(a, pinv(v))
-
-    def solution(y):  # only the streamed sum leaves x0 to the loop
-        x = pinv(assembly.combine(y))
-        return x if frame is None or x0 is None else tt_round(tt_add(x0, x), sol_spec)
-
     for k in range(1, cfg.maxit + 1):
+        # expand: z = P^{-1} v enters the solution, A z the Krylov space
+        i, v = window[-1]
+        z = timer.timed("matvec", pinv, v)
+        kept = keep(z)
+        if stta:  # without P^{-1}, z is v and its pair is kept already
+            pairs[i] = kept if z is v else timer.timed("sketch", stream_sketch, v, frame)
+        w = timer.timed("matvec", tt_matvec, a, z)
+        lsq.image(w)
         # orthogonalize and round; w is rebound at every step so that no
         # earlier, larger version of it stays alive
         if relaxed:  # eta_k = tol / rel_res_{k-1}, clamped to [1e-14, 1]
             eta_k = min(max(cfg.tol / rel_res, _BREAKDOWN_FACTOR), 1.0)
             spec = RoundSpec(eta_k * cfg.tol, cfg.max_rank)
-        w = timer.timed("matvec", expand, window[-1][1])
-        lsq.image(w)
-        if relaxed:
             w = timer.timed("round", tt_round, w, spec)
         t0 = time.perf_counter()
         col = np.zeros(k + 1)
@@ -356,26 +355,29 @@ def _krylov(a, b, x0, cfg: SolverConfig, sketch=None, frame=None, precond=None):
                 if relaxed:
                     w = tt_round(w, spec)
         timer.add("orth", t0)
-        if stta:
+        if stta:  # recover w - sum_i col_i v_i from the sketch pairs
+            t0 = time.perf_counter()
             terms = [i for i, _ in window]
-            w = timer.timed("round", assembly.combine, -col[terms], spec, terms, w)
+            pair = combine_pairs([stream_sketch(w, frame), *(pairs[i] for i in terms)],
+                                 [1.0, *-col[terms]])
+            w = stream_recover(pair, spec)
+            timer.add("round", t0)
         elif not relaxed:
             w = timer.timed("round", tt_round, w, spec)
         hnew = col[k] = tt_norm(w)
         lucky = hnew <= _BREAKDOWN_FACTOR * np.linalg.norm(col)
         if not lucky:
             window.append((k, tt_scale(w, 1.0 / hnew)))
-            keep(window[-1][1])
         report.max_resident_basis = max(report.max_resident_basis, len(window))
         if len(window) > window_size:
-            window.pop(0)
+            pairs.pop(window.pop(0)[0], None)
 
         res, stalled = timer.timed("lsq", lsq.update, col)
         rel_res = max(res / lsq.scale, 1e-300)
         report.res_sketched.append(rel_res)
         report.basis_rank.append(max(window[-1][1].ranks))
         if cfg.track_true_residual:
-            x = timer.timed("recovery", solution, lsq.coefficients())
+            x = timer.timed("recovery", assembly.combine, lsq.coefficients())
             report.res_true.append(true_residual(a, b, x))
         timer.flush()
         hit = res <= lsq.scale * cfg.tol
@@ -385,7 +387,7 @@ def _krylov(a, b, x0, cfg: SolverConfig, sketch=None, frame=None, precond=None):
                 report.warnings.append(f"iteration {k}: sketched basis stopped growing")
             break
 
-    x = timer.timed("recovery", solution, lsq.coefficients())
+    x = timer.timed("recovery", assembly.combine, lsq.coefficients())
     timer.flush(fold=True)
     report.converged = converged
     report.iterations = k
@@ -427,8 +429,10 @@ def tt_sgmres(a, b, x0, cfg: SolverConfig, sketch: KhatriRaoSketch,
 
 def tt_spgmres(a, precond: ExpSumPreconditioner, b, x0, cfg: SolverConfig,
                sketch: KhatriRaoSketch, frame: StreamFrame | None = None):
-    """Right-preconditioned TT-sGMRES: the Krylov space is built for
-    A P^{-1}; the returned solution is x = x0 + P^{-1} u."""
+    """Flexibly right-preconditioned TT-sGMRES: the Krylov space is built
+    for A P^{-1}; the returned solution is x = x0 + sum_i y_i z_i over the
+    z_i = P^{-1} v_i that the iterations computed, so the rounded P^{-1} is
+    never applied to a vector the least squares did not see."""
     if frame is None:
         frame = make_solver_frame(b, cfg, seed=cfg.seed + 1)
     return _krylov(a, b, x0, cfg, sketch, frame, precond)

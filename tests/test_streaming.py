@@ -317,14 +317,15 @@ class TestRecoveryProperties:
         err = np.linalg.norm(tt_to_dense(acc.combine(coeffs)) - want)
         assert err <= rel_tol * np.linalg.norm(want) + _RECOVERY_SLACK * scale
 
-    def test_combine_picks_terms_and_lead(self):
+    def test_combine_adds_start_whole(self):
+        # the frame covers the terms only; the start is never sketched
         dims = [3, 4, 3]
-        frame = StreamFrame.create(dims, [6, 6], oversampling=4, seed=50)
+        frame = StreamFrame.create(dims, [4, 4], oversampling=4, seed=50)
         terms = [tt_random(dims, [2, 2], seed=51 + i) for i in range(3)]
-        acc = StreamedSum(frame, RoundSpec(0.0))
+        start = tt_random(dims, [3, 3], seed=55)
+        acc = StreamedSum(frame, RoundSpec(0.0), start=start)
         for t in terms:
             acc.add(t)
-        lead = tt_random(dims, [1, 1], seed=55)
-        got = acc.combine([0.5, -2.0], RoundSpec(0.0), terms=[2, 0], lead=lead)
-        want = tt_to_dense(lead) + 0.5 * tt_to_dense(terms[2]) - 2.0 * tt_to_dense(terms[0])
+        got = acc.combine([0.5, -2.0])
+        want = tt_to_dense(start) + 0.5 * tt_to_dense(terms[0]) - 2.0 * tt_to_dense(terms[1])
         assert rel_err(tt_to_dense(got), want) <= 1e-10

@@ -18,9 +18,13 @@ it prints two SHA-256 digests:
   cores of the returned solution;
 * ``rank``: the ``basis_rank`` history and ``max_resident_basis``.
 
+Beside them it prints the iterations and the final tracked true residual,
+so that a change a digest flags shows its direction.
+
 Compare the output of two checkouts on the same machine.  The digests are
 bitwise, so they depend on the BLAS and on its thread count; the script pins
-one thread.  It is not part of the test suite for that reason.
+one thread.  It is not part of the test suite for that reason; CI only
+runs it, so that it keeps working.
 """
 
 import os
@@ -117,7 +121,8 @@ def main():
                     label = f"{pname} seed={seed} x0={guess} {name} ell={ell} {mode}"
                     if acc == "stream":
                         label += " stream"
-                    print(f"{label:<59} iters={rep.iterations:<3} run={run} rank={rank}")
+                    print(f"{label:<59} iters={rep.iterations:<3} res_true={rep.res_true[-1]:.2e}"
+                          f" run={run} rank={rank}")
 
 
 if __name__ == "__main__":
