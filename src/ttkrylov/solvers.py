@@ -26,7 +26,9 @@ z_k, and A z_k passes through three parts:
   combine the sketch pairs of A z and of the window vectors instead and
   recover the result once (its sketch of A z counts as rounding); the
   window keeps the pairs of its at most ell vectors, which are the
-  assembly's own pairs when z_k is v_k.
+  assembly's own pairs when z_k is v_k.  The frame's recovery ranks then
+  cap every basis vector; the report warns, once, when a vector reaches
+  the cap at a mode where it is below the full rank.
 * least squares: ``_HessenbergLsq`` (Givens-updated QR of the Hessenberg
   matrix) or ``_SketchedLsq`` (SVD least squares on the sketched basis).
 * assembly: one of the two rounded linear combinations of TT vectors, which
@@ -62,6 +64,7 @@ from .tt import (
     ShapeMismatch,
     TTOperator,
     TTVector,
+    attainable_ranks,
     check_finite,
     tt_add,
     tt_dot,
@@ -77,6 +80,7 @@ PHASES = ("matvec", "sketch", "orth", "round", "lsq", "recovery")
 _LSQ_RCOND = 1e-12
 _BREAKDOWN_FACTOR = 1e-14
 _CONDITION_WATERMARK = 1e-10
+_RANK_DEFICIENT = "sketched basis nearly rank-deficient"
 
 
 @dataclass
@@ -90,7 +94,10 @@ class SolverConfig:
     max_rank: int | None = None
     sketch_rows: int | None = None  # default: 2 * maxit
     oversampling: int = 20
-    solution_rank: int | None = None  # default: generous heuristic from b
+    # rank cap of the streamed solution, and with b's ranks the recovery
+    # rank of the frame, which then recovers it exactly (default:
+    # max(2 * largest rank of b, 20))
+    solution_rank: int | None = None
     combine_mode: str = "explicit"  # or "stta"
     seed: int = 0
     track_true_residual: bool = False
@@ -194,10 +201,17 @@ def default_solution_rank(b: TTVector, cfg: SolverConfig) -> int:
 
 
 def make_solver_frame(b: TTVector, cfg: SolverConfig, seed) -> StreamFrame:
-    """One frame for the whole run: recovery ranks cover b and twice the
-    expected solution rank."""
+    """One frame for the whole run, with recovery ranks max(b rank,
+    solution rank) and left ranks ``cfg.oversampling`` above them.
+
+    The streamed solution is rounded to the solution rank anyway, and STTA
+    recovers a tensor of rank r exactly once the right map has rank >= r
+    and the left map oversamples it (Kressner, Vandereycken and Voorhaar,
+    arXiv:2208.02600), so a larger frame only costs memory and time.
+    ``StreamFrame.create`` clips each rank to what the mode attains.
+    """
     sol = default_solution_rank(b, cfg)
-    ranks = [max(r, 2 * sol) for r in b.ranks[1:-1]]
+    ranks = [max(r, sol) for r in b.ranks[1:-1]]
     return StreamFrame.create(b.dims, ranks, oversampling=cfg.oversampling, seed=seed)
 
 
@@ -272,8 +286,10 @@ class _SketchedLsq:
         stalled = m.shape[1] > 1 and (
             sketched_lsq(m[:, :-1], m[:, -1])[1] <= _LSQ_RCOND * np.linalg.norm(m[:, -1])
         )
-        if sv[-1] < _CONDITION_WATERMARK * sv[0] and not self.warnings:
-            self.warnings.append(f"iteration {m.shape[1]}: sketched basis nearly rank-deficient")
+        if sv[-1] < _CONDITION_WATERMARK * sv[0] and not any(
+            w.endswith(_RANK_DEFICIENT) for w in self.warnings
+        ):
+            self.warnings.append(f"iteration {m.shape[1]}: {_RANK_DEFICIENT}")
         return res, stalled
 
     def coefficients(self):
@@ -321,6 +337,12 @@ def _krylov(a, b, x0, cfg: SolverConfig, sketch=None, frame=None, precond=None):
         assembly = StreamedSum(frame, sol_spec, start=x0)
         keep = partial(timer.timed, "sketch", assembly.add)
     stta = frame is not None and cfg.combine_mode == "stta"
+    # stta: the modes whose recovery rank is below the full rank, where a
+    # recovered basis vector that reaches it may have been truncated
+    capping = []
+    if stta:
+        cap = frame.right.ranks
+        capping = [m for m, f in enumerate(attainable_ranks(b.dims), 1) if cap[m] < f]
     window_size = cfg.maxit + 1 if relaxed else cfg.ell
     window = [(0, tt_scale(r0, 1.0 / beta))]  # (basis index, basis vector)
     pairs = {}  # stta: the sketch pair of each window vector, by basis index
@@ -362,6 +384,11 @@ def _krylov(a, b, x0, cfg: SolverConfig, sketch=None, frame=None, precond=None):
                                  [1.0, *-col[terms]])
             w = stream_recover(pair, spec)
             timer.add("round", t0)
+            capped = [m for m in capping if w.ranks[m] >= cap[m]]
+            if capped:  # warn once per solve
+                report.warnings.append(
+                    f"iteration {k}: the recovery frame caps the basis vector at modes {capped}")
+                capping = []
         elif not relaxed:
             w = timer.timed("round", tt_round, w, spec)
         hnew = col[k] = tt_norm(w)

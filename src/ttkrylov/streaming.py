@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tt import RoundSpec, ShapeMismatch, TTVector, tt_add, tt_round, tt_zero
+from .tt import RoundSpec, ShapeMismatch, TTVector, attainable_ranks, tt_add, tt_round, tt_zero
 
 # Relative singular-value cutoff for the cross-matrix pseudo-inverses.
 PINV_RCOND = 1e-12
@@ -71,10 +71,7 @@ class StreamFrame:
             raise ValueError("recovery_ranks must have length d-1")
         if oversampling < 1:
             raise ValueError("oversampling must be >= 1")
-        left_sizes = np.cumprod([1] + dims)
-        right_sizes = np.cumprod([1] + dims[::-1])[::-1]
-        for k in range(1, d):
-            ranks[k - 1] = int(min(ranks[k - 1], left_sizes[k], right_sizes[k]))
+        ranks = [int(min(r, f)) for r, f in zip(ranks, attainable_ranks(dims))]
         lranks = [r + oversampling for r in ranks]
         ss = np.random.SeedSequence(seed)
         s_right, s_left = ss.spawn(2)

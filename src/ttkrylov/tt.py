@@ -144,6 +144,12 @@ def tt_rank_one(vectors) -> TTVector:
     return TTVector([np.asarray(v, dtype=np.float64).reshape(1, -1, 1) for v in vectors])
 
 
+def attainable_ranks(dims) -> list[int]:
+    """The full interior TT ranks min(n_1 ... n_k, n_{k+1} ... n_d), k < d."""
+    dims = list(dims)
+    return [min(math.prod(dims[:k]), math.prod(dims[k:])) for k in range(1, len(dims))]
+
+
 def tt_random(dims, ranks, seed=0) -> TTVector:
     """Random TT with i.i.d. standard normal core entries.
 
@@ -155,11 +161,7 @@ def tt_random(dims, ranks, seed=0) -> TTVector:
     ranks = list(ranks) if d > 1 else []
     if len(ranks) != max(d - 1, 0):
         raise ValueError("ranks must have length d-1")
-    full = [1] + ranks + [1]
-    left = np.cumprod([1] + dims)
-    right = np.cumprod([1] + dims[::-1])[::-1]
-    for k in range(1, d):
-        full[k] = int(min(full[k], left[k], right[k]))
+    full = [1] + [int(min(r, f)) for r, f in zip(ranks, attainable_ranks(dims))] + [1]
     rng = np.random.default_rng(seed)
     cores = [rng.standard_normal((full[k], dims[k], full[k + 1])) for k in range(d)]
     return TTVector(cores)

@@ -13,7 +13,11 @@ from ttkrylov.problems import (
 )
 from ttkrylov.sketch import kr_sketch_new
 from ttkrylov.solvers import (
+    SolveReport,
     SolverConfig,
+    _PhaseTimer,
+    _SketchedLsq,
+    make_solver_frame,
     sketched_lsq,
     true_residual,
     tt_gmres,
@@ -70,6 +74,20 @@ class TestSketchedLsq:
         y, _, _ = sketched_lsq(w, rhs)
         y2 = np.linalg.solve(w.T @ w, w.T @ rhs)
         assert np.allclose(y, y2, atol=1e-10)
+
+
+class TestSketchedLsqWarning:
+    def test_rank_deficiency_warned_once_after_other_warnings(self):
+        dims = [3, 3, 3]
+        b = tt_random(dims, [2, 2], seed=0)
+        warnings = ["iteration 1: an earlier warning"]
+        lsq = _SketchedLsq(kr_sketch_new(dims, 12, seed=1), b, b,
+                           _PhaseTimer(SolveReport()), warnings)
+        for k in range(1, 4):  # the same column again: the basis is singular
+            lsq.image(b)
+            lsq.update(np.zeros(k + 1))
+        assert warnings == ["iteration 1: an earlier warning",
+                            "iteration 2: sketched basis nearly rank-deficient"]
 
 
 class TestTrueResidual:
@@ -283,6 +301,48 @@ class TestTTsGMRES:
         s = kr_sketch_new(rhs.dims, cfg.sketch_rows, seed=13)
         _, rep = tt_sgmres(op, rhs, None, cfg, s)
         assert rep.iterations == 40
+
+
+class TestSolverFrame:
+    """Recovery ranks max(b rank, solution rank), clipped to the full rank."""
+
+    @pytest.mark.parametrize("solution_rank,ranks", [(None, (8, 60, 8)), (6, (7, 30, 7))])
+    def test_recovery_ranks(self, solution_rank, ranks):
+        b = tt_random([8, 8, 8, 8], [7, 30, 7], seed=0)  # default solution rank 60
+        cfg = SolverConfig(solution_rank=solution_rank, oversampling=5)
+        frame = make_solver_frame(b, cfg, seed=1)
+        assert frame.right.ranks[1:-1] == ranks
+        assert frame.left.ranks[1:-1] == tuple(r + 5 for r in ranks)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_as_accurate_as_a_double_frame(self, seed):
+        # unclipped (full ranks 8, 64, 8); the solution has rank 4 < 6.
+        # Without that headroom the rank-6 frame loses accuracy: at tol 1e-7,
+        # where the solution reaches rank 6, its true residual is 5-10x worse
+        op, rhs = convection_diffusion(ConvectionDiffusionSpec(d=4, n=8))
+        runs = []
+        for frame_ranks in (None, [2 * 6] * 3):
+            cfg = SolverConfig(maxit=60, tol=1e-5, seed=seed, solution_rank=6)
+            s = kr_sketch_new(rhs.dims, cfg.sketch_rows, seed=seed)
+            frame = None if frame_ranks is None else StreamFrame.create(rhs.dims, frame_ranks,
+                                                                        seed=seed + 1)
+            x, rep = tt_sgmres(op, rhs, None, cfg, s, frame)
+            runs.append((rep.iterations, true_residual(op, rhs, x)))
+        (it_new, res_new), (it_old, res_old) = runs
+        assert it_new == it_old
+        assert res_new <= 1.5 * res_old
+
+    def test_stta_warns_when_the_frame_caps_a_basis_vector(self):
+        op, rhs = convection_diffusion(ConvectionDiffusionSpec(d=4, n=8))
+        warned = {}
+        for mode in ("explicit", "stta"):
+            cfg = SolverConfig(maxit=20, tol=1e-8, seed=0, solution_rank=3, combine_mode=mode)
+            s = kr_sketch_new(rhs.dims, cfg.sketch_rows, seed=0)
+            _, rep = tt_sgmres(op, rhs, None, cfg, s)
+            warned[mode] = rep.warnings
+        assert warned["explicit"] == []
+        assert warned["stta"] == [
+            "iteration 2: the recovery frame caps the basis vector at modes [1, 2, 3]"]
 
 
 class TestVanilla:

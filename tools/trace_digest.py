@@ -5,13 +5,19 @@ Run from the repository root::
     python3 tools/trace_digest.py
 
 Runs the four GMRES variants on small convection-diffusion and Markov
-problems over fixed seeds, with ``ell`` 1 and 2 and both ``combine_mode``
-values (``tt_gmres`` ignores both, ``tt_sgmres_vanilla`` ignores
-``combine_mode``), from a zero and from a random initial guess.
+problems (d=3, n=5) over fixed seeds, with ``ell`` 1 and 2 and both
+``combine_mode`` values (``tt_gmres`` ignores both, ``tt_sgmres_vanilla``
+ignores ``combine_mode``), from a zero and from a random initial guess.
 ``tt_spgmres`` runs twice per setting: with a preconditioner that
 accumulates its terms by sequential rounded additions and with one that
-accumulates them in sketch space (``accumulate="stream"``).  For each run
-it prints two SHA-256 digests:
+accumulates them in sketch space (``accumulate="stream"``).
+
+At n=5 every recovery rank of the solver frame is clipped to the full rank
+5, so those runs cannot see the frame's size.  Eight more runs can: a
+convection-diffusion problem with d=4, n=8 (full ranks 8, 64, 8), solved
+from zero by ``tt_sgmres`` and by ``tt_spgmres`` with the sequential
+preconditioner, at ``ell`` 1 in both modes.  For each run it prints two
+SHA-256 digests:
 
 * ``run``: iterations, converged, the sketched and true residual histories,
   the warnings, the length of every phase-time history and the bytes of the
@@ -47,12 +53,17 @@ PRECOND_ZETA = 3
 
 
 def problems():
+    """(label, operator, rhs, factor matrices, initial guesses, variants)."""
     cd = ttk.ConvectionDiffusionSpec(d=3, n=5)
     op, rhs = ttk.convection_diffusion(cd)
-    yield "cd", op, rhs, ttk.cd_factor_matrices(cd)
+    yield "cd", op, rhs, ttk.cd_factor_matrices(cd), ("zero", "random"), variants
     mk = ttk.MarkovSpec(d=3, n=5, seed=9)
     op, rhs = ttk.markov_chain(mk)
-    yield "markov", op, rhs, ttk.markov_factor_matrices(mk)
+    yield "markov", op, rhs, ttk.markov_factor_matrices(mk), ("zero", "random"), variants
+    # full ranks 8, 64, 8: the frame's middle rank is not clipped
+    cd4 = ttk.ConvectionDiffusionSpec(d=4, n=8)
+    op, rhs = ttk.convection_diffusion(cd4)
+    yield "cd4", op, rhs, ttk.cd_factor_matrices(cd4), ("zero",), frame_variants
 
 
 def variants():
@@ -66,6 +77,13 @@ def variants():
     for ell in (1, 2):
         for mode in ("explicit", "stta"):
             yield "tt_spgmres", ell, mode, "stream"
+
+
+def frame_variants():
+    """The solvers that stream their solution through a frame."""
+    for name, acc in (("tt_sgmres", None), ("tt_spgmres", "sequential")):
+        for mode in ("explicit", "stta"):
+            yield name, 1, mode, acc
 
 
 def solve(name, op, rhs, x0, cfg, precond):
@@ -98,7 +116,7 @@ def digests(x, rep):
 
 
 def main():
-    for pname, op, rhs, factors in problems():
+    for pname, op, rhs, factors, guesses, runs in problems():
         spec = ttk.RoundSpec(0.3 * 1e-8)
         seq = ttk.ExpSumPreconditioner.from_kron_sum(factors, PRECOND_ZETA, spec)
         preconds = {
@@ -109,9 +127,9 @@ def main():
             ),
         }
         for seed in SEEDS:
-            for guess in ("zero", "random"):
+            for guess in guesses:
                 x0 = None if guess == "zero" else ttk.tt_random(rhs.dims, [2, 2], seed=100 + seed)
-                for name, ell, mode, acc in variants():
+                for name, ell, mode, acc in runs():
                     cfg = ttk.SolverConfig(
                         maxit=30, tol=1e-8, ell=ell, seed=seed, solution_rank=12,
                         combine_mode=mode, track_true_residual=True,
