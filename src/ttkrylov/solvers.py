@@ -94,9 +94,9 @@ class SolverConfig:
     max_rank: int | None = None
     sketch_rows: int | None = None  # default: 2 * maxit
     oversampling: int = 20
-    # rank cap of the streamed solution, and with b's ranks the recovery
-    # rank of the frame, which then recovers it exactly (default:
-    # max(2 * largest rank of b, 20))
+    # rank cap of the streamed solution and, with b's ranks, the frame's
+    # recovery rank; give it a few ranks of headroom above the solution's
+    # own (default: max(2 * largest rank of b, 20))
     solution_rank: int | None = None
     combine_mode: str = "explicit"  # or "stta"
     seed: int = 0
@@ -205,10 +205,13 @@ def make_solver_frame(b: TTVector, cfg: SolverConfig, seed) -> StreamFrame:
     solution rank) and left ranks ``cfg.oversampling`` above them.
 
     The streamed solution is rounded to the solution rank anyway, and STTA
-    recovers a tensor of rank r exactly once the right map has rank >= r
-    and the left map oversamples it (Kressner, Vandereycken and Voorhaar,
-    arXiv:2208.02600), so a larger frame only costs memory and time.
-    ``StreamFrame.create`` clips each rank to what the mode attains.
+    recovers a tensor of rank <= r exactly from a rank-r right map and an
+    oversampled left map (Kressner, Vandereycken and Voorhaar,
+    arXiv:2208.02600).  A sum that is only close to low rank, as the
+    rounded basis makes it, is recovered less well once its rank nears r,
+    so an explicit solution rank wants some headroom; a larger frame
+    costs memory and time in every sketch pair.  ``StreamFrame.create``
+    clips each rank to what the mode attains.
     """
     sol = default_solution_rank(b, cfg)
     ranks = [max(r, sol) for r in b.ranks[1:-1]]
