@@ -48,7 +48,6 @@ from .tt import (
     kron_sum_operator,
     load_operator,
     load_vector,
-    max_rank,
     save_operator,
     save_vector,
     tt_add,

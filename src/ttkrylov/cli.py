@@ -19,7 +19,7 @@ Config files are INI-style.  A minimal example::
     track_true_residual = false
 
 Each section maps onto one library type; a key that is not set keeps the
-library's default:
+library's default, and a section or key not listed here is an error:
 
 * ``[problem]``: ``type`` picks ``ConvectionDiffusionSpec``
   (``convection_diffusion``) or ``MarkovSpec`` (``markov_chain``); every
@@ -27,10 +27,13 @@ library's default:
 * ``[solver]``: ``type`` names the variant; every field of ``SolverConfig``
   is a key, except ``track_true_residual``, which lives in ``[output]``.
 * ``[preconditioner]``: ``type = expsum`` with ``zeta`` and, optionally,
-  ``max_rank`` (default: the solver's) and ``accumulate``, passed to
-  ``ExpSumPreconditioner.from_kron_sum``; ``tt_spgmres`` needs it.
+  ``max_rank`` (default: the solver's), passed to
+  ``ExpSumPreconditioner.from_kron_sum`` with the solver's ``eta * tol``
+  as its tolerance; ``tt_spgmres`` needs it.
 * ``[output]``: ``csv`` (the ``solve`` trace file name) and
   ``track_true_residual``.
+* ``[compare]``: ``variants``, and ``[sweep]``: ``axis`` and ``values``,
+  for the subcommands below.
 
 Subcommands: ``ttk solve``, ``ttk compare`` (a [compare] section lists
 variants), ``ttk sweep`` (a [sweep] section gives axis and values).
@@ -108,21 +111,49 @@ def _bool(raw):
 
 
 _CONVERTERS = {int: int, float: float, str: str, bool: _bool}
+# [solver] fields that are set from another section
+_SOLVER_SKIP = ("track_true_residual",)
+# the keys of the sections that no library dataclass describes
+_PLAIN_KEYS = {
+    "preconditioner": {"type", "zeta", "max_rank"},
+    "output": {"csv", "track_true_residual"},
+    "compare": {"variants"},
+    "sweep": {"axis", "values"},
+}
+
+
+def _key_fields(cls, skip=()):
+    """The (field, converter) pairs of dataclass ``cls`` that config keys
+    set: every scalar field not in ``skip``."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        conv = _CONVERTERS.get((typing.get_args(hints[f.name]) or (hints[f.name],))[0])
+        if conv is not None and f.name not in skip:
+            yield f, conv
 
 
 def _fields_from(cls, cp, section, skip=()):
     """Keyword arguments for dataclass ``cls`` from the keys set in
     ``section``: one key per scalar field, required when it has no default."""
-    hints = typing.get_type_hints(cls)
     kwargs = {}
-    for f in dataclasses.fields(cls):
-        conv = _CONVERTERS.get((typing.get_args(hints[f.name]) or (hints[f.name],))[0])
-        if conv is None or f.name in skip:
-            continue
+    for f, conv in _key_fields(cls, skip):
         value = _get(cp, section, f.name, conv, required=f.default is dataclasses.MISSING)
         if value is not None:
             kwargs[f.name] = value
     return kwargs
+
+
+def _check_keys(cp):
+    """Reject a section or key that no part of ``ttk`` reads."""
+    allowed = dict(_PLAIN_KEYS)
+    allowed["problem"] = {"type"} | {f.name for f, _ in _key_fields(_problem(cp)[0])}
+    allowed["solver"] = {"type"} | {f.name for f, _ in _key_fields(SolverConfig, _SOLVER_SKIP)}
+    for section in cp.sections():
+        if section not in allowed:
+            raise ConfigError(f"unknown section [{section}]")
+        for key in cp[section]:
+            if key not in allowed[section]:
+                raise ConfigError(f"unknown key '{key}' in [{section}]")
 
 
 def _construct(cls, kwargs, what):
@@ -144,22 +175,28 @@ def parse_config(path):
         raise ConfigError("missing [problem] section")
     if "solver" not in cp:
         raise ConfigError("missing [solver] section")
+    _check_keys(cp)
     return cp
+
+
+def _problem(cp):
+    """The (spec class, builder, factor matrices) named by [problem] type."""
+    kind = _get(cp, "problem", "type", required=True)
+    if kind not in PROBLEMS:
+        raise ConfigError(f"unknown problem type '{kind}'")
+    return PROBLEMS[kind]
 
 
 def build_problem(cp):
     """The (operator, rhs, factor matrices) of the [problem] section."""
-    kind = _get(cp, "problem", "type", required=True)
-    if kind not in PROBLEMS:
-        raise ConfigError(f"unknown problem type '{kind}'")
-    spec_cls, build, factor_matrices = PROBLEMS[kind]
+    spec_cls, build, factor_matrices = _problem(cp)
     spec = _construct(spec_cls, _fields_from(spec_cls, cp, "problem"), "problem")
     op, rhs = build(spec)
     return op, rhs, factor_matrices(spec)
 
 
 def build_solver_config(cp, overrides):
-    kwargs = _fields_from(SolverConfig, cp, "solver", skip=("track_true_residual",))
+    kwargs = _fields_from(SolverConfig, cp, "solver", skip=_SOLVER_SKIP)
     if overrides.maxit is not None:
         kwargs.pop("sketch_rows", None)  # the default follows maxit
     for key in ("maxit", "tol", "seed"):
@@ -179,20 +216,16 @@ def build_preconditioner(cp, factors, cfg):
         raise ConfigError(f"unknown preconditioner type '{kind}'")
     zeta = _get(cp, "preconditioner", "zeta", int, required=True)
     cap = _get(cp, "preconditioner", "max_rank", int, cfg.max_rank)
-    accumulate = _get(cp, "preconditioner", "accumulate")
-    kwargs = {} if accumulate is None else {"accumulate": accumulate}
     spec = RoundSpec(cfg.eta * cfg.tol, cap)
-    return ExpSumPreconditioner.from_kron_sum(
-        factors, zeta, spec, stream_seed=cfg.seed + 7, **kwargs
-    )
+    return ExpSumPreconditioner.from_kron_sum(factors, zeta, spec)
 
 
 def run_variant(name, cp, overrides, problem=None):
     """Run one solver variant from x0 = 0; returns (report, wall seconds).
 
-    For the solve seed s the Khatri-Rao sketch is drawn with seed s, the
-    solvers draw the recovery frame with seed s+1, and the preconditioner's
-    stream seed is s+7.  The wall time includes the preconditioner set-up.
+    For the solve seed s the Khatri-Rao sketch is drawn with seed s and the
+    solvers draw the recovery frame with seed s+1.  The wall time includes
+    the preconditioner set-up.
     """
     if name not in SOLVER_NAMES:
         raise ConfigError(f"unknown solver name '{name}'")

@@ -485,11 +485,6 @@ class RoundedSum:
         return x
 
 
-def max_rank(v) -> int:
-    """Largest rank in the profile of a TT vector or operator."""
-    return max(v.ranks)
-
-
 # ---------------------------------------------------------------------------
 # operator arithmetic (via the fused-mode order-3 view)
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ttkrylov
-from ttkrylov.cli import CSV_HEADER, build_solver_config, main
+from ttkrylov.cli import CSV_HEADER, build_solver_config, main, parse_config
 from ttkrylov.solvers import PHASES, SolverConfig
 
 
@@ -101,6 +101,32 @@ class TestSolve:
         assert proc.stderr.startswith("config error")
         assert key in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("solver", "tolerance_typo", "5"),
+            ("preconditioner", "max_rnak", "3"),
+            ("solver", "track_true_residual", "true"),  # an [output] key
+            ("problem", "convection", "1, 0, 0"),  # a tuple field has no key
+            ("preconditioner", "accumulate", "stream"),
+        ],
+    )
+    def test_unknown_key_exits_1(self, tmp_path, capsys, section, key, value):
+        cp = configparser.ConfigParser()
+        cp.read_string(BASE_PDE + "\n[preconditioner]\ntype = expsum\nzeta = 3\n"
+                       "\n[compare]\nvariants = tt_sgmres\n")
+        cp[section][key] = value
+        with open(tmp_path / "typo.cfg", "w") as fh:
+            cp.write(fh)
+        assert main(["compare", str(tmp_path / "typo.cfg"), "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"config error: unknown key '{key}' in [{section}]\n"
+        assert not (tmp_path / "summary.csv").exists()
+
+    def test_unknown_section_exits_1(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "s.cfg", BASE_PDE + "\n[solvr]\nmaxit = 3\n")
+        assert main(["solve", cfg, "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "config error: unknown section [solvr]\n"
 
     def test_maxit_exhausted_exits_2(self, tmp_path):
         cfg = write_cfg(tmp_path / "f.cfg", BASE_PDE.replace("maxit = 60", "maxit = 3"))
@@ -194,15 +220,18 @@ class TestSolverConfigKeys:
         assert build_solver_config(cp, NO_OVERRIDES) == SolverConfig()
 
     @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(SolverConfig)])
-    def test_field_reaches_config(self, name):
+    def test_field_reaches_config(self, tmp_path, name):
         value = FIELD_VALUES[name]
         raw = str(value).lower() if isinstance(value, bool) else str(value)
         # track_true_residual is an [output] key
         section = "output" if name == "track_true_residual" else "solver"
         cp = configparser.ConfigParser()
-        cp.read_dict({"solver": {"type": "tt_sgmres"}, "output": {}})
+        cp.read_dict({"problem": {"type": "markov_chain", "d": "3", "n": "4"},
+                      "solver": {"type": "tt_sgmres"}, "output": {}})
         cp[section][name] = raw
-        cfg = build_solver_config(cp, NO_OVERRIDES)
+        with open(tmp_path / "field.cfg", "w") as fh:
+            cp.write(fh)
+        cfg = build_solver_config(parse_config(tmp_path / "field.cfg"), NO_OVERRIDES)
         assert getattr(cfg, name) == value
         assert getattr(SolverConfig(), name) != value
 

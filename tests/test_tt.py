@@ -16,7 +16,6 @@ from ttkrylov.tt import (
     kron_sum_operator,
     load_operator,
     load_vector,
-    max_rank,
     save_operator,
     save_vector,
     tt_add,
@@ -603,10 +602,10 @@ class TestSerialization:
 
 class TestMaxRank:
     def test_vector(self):
-        assert max_rank(tt_random([4, 4, 4], [3, 2], seed=32)) == 3
+        assert max(tt_random([4, 4, 4], [3, 2], seed=32).ranks) == 3
 
     def test_operator(self):
-        assert max_rank(identity_operator([2, 2, 2])) == 1
+        assert max(identity_operator([2, 2, 2]).ranks) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -8,16 +8,13 @@ Runs the four GMRES variants on small convection-diffusion and Markov
 problems (d=3, n=5) over fixed seeds, with ``ell`` 1 and 2 and both
 ``combine_mode`` values (``tt_gmres`` ignores both, ``tt_sgmres_vanilla``
 ignores ``combine_mode``), from a zero and from a random initial guess.
-``tt_spgmres`` runs twice per setting: with a preconditioner that
-accumulates its terms by sequential rounded additions and with one that
-accumulates them in sketch space (``accumulate="stream"``).
+``tt_spgmres`` uses an exponential-sum preconditioner with zeta=3.
 
 At n=5 every recovery rank of the solver frame is clipped to the full rank
 5, so those runs cannot see the frame's size.  Eight more runs can: a
 convection-diffusion problem with d=4, n=8 (full ranks 8, 64, 8), solved
-from zero by ``tt_sgmres`` and by ``tt_spgmres`` with the sequential
-preconditioner, at ``ell`` 1 in both modes.  For each run it prints two
-SHA-256 digests:
+from zero by ``tt_sgmres`` and by ``tt_spgmres``, at ``ell`` 1 in both
+modes.  For each run it prints two SHA-256 digests:
 
 * ``run``: iterations, converged, the sketched and true residual histories,
   the warnings, the length of every phase-time history and the bytes of the
@@ -67,23 +64,20 @@ def problems():
 
 
 def variants():
-    """(solver, ell, combine_mode, preconditioner accumulation or None)."""
-    yield "tt_gmres", 1, "explicit", None
+    """(solver, ell, combine_mode)."""
+    yield "tt_gmres", 1, "explicit"
     for ell in (1, 2):
-        yield "tt_sgmres_vanilla", ell, "explicit", None
+        yield "tt_sgmres_vanilla", ell, "explicit"
         for mode in ("explicit", "stta"):
-            yield "tt_sgmres", ell, mode, None
-            yield "tt_spgmres", ell, mode, "sequential"
-    for ell in (1, 2):
-        for mode in ("explicit", "stta"):
-            yield "tt_spgmres", ell, mode, "stream"
+            yield "tt_sgmres", ell, mode
+            yield "tt_spgmres", ell, mode
 
 
 def frame_variants():
     """The solvers that stream their solution through a frame."""
-    for name, acc in (("tt_sgmres", None), ("tt_spgmres", "sequential")):
+    for name in ("tt_sgmres", "tt_spgmres"):
         for mode in ("explicit", "stta"):
-            yield name, 1, mode, acc
+            yield name, 1, mode
 
 
 def solve(name, op, rhs, x0, cfg, precond):
@@ -117,28 +111,20 @@ def digests(x, rep):
 
 def main():
     for pname, op, rhs, factors, guesses, runs in problems():
-        spec = ttk.RoundSpec(0.3 * 1e-8)
-        seq = ttk.ExpSumPreconditioner.from_kron_sum(factors, PRECOND_ZETA, spec)
-        preconds = {
-            "sequential": seq,
-            "stream": ttk.ExpSumPreconditioner(
-                factors, seq.alpha, seq.beta, spec, accumulate="stream",
-                quad_bound=seq.quad_bound, stream_seed=7,
-            ),
-        }
+        precond = ttk.ExpSumPreconditioner.from_kron_sum(
+            factors, PRECOND_ZETA, ttk.RoundSpec(0.3 * 1e-8)
+        )
         for seed in SEEDS:
             for guess in guesses:
                 x0 = None if guess == "zero" else ttk.tt_random(rhs.dims, [2, 2], seed=100 + seed)
-                for name, ell, mode, acc in runs():
+                for name, ell, mode in runs():
                     cfg = ttk.SolverConfig(
                         maxit=30, tol=1e-8, ell=ell, seed=seed, solution_rank=12,
                         combine_mode=mode, track_true_residual=True,
                     )
-                    x, rep = solve(name, op, rhs, x0, cfg, preconds.get(acc))
+                    x, rep = solve(name, op, rhs, x0, cfg, precond)
                     run, rank = digests(x, rep)
                     label = f"{pname} seed={seed} x0={guess} {name} ell={ell} {mode}"
-                    if acc == "stream":
-                        label += " stream"
                     print(f"{label:<59} iters={rep.iterations:<3} res_true={rep.res_true[-1]:.2e}"
                           f" run={run} rank={rank}")
 
