@@ -11,8 +11,9 @@ import numpy as np
 
 from .tt import ShapeMismatch, TTVector
 
-# memory budget (floats) for the per-mode batched contraction in kr_apply
-_CHUNK_BUDGET = 8_000_000
+# memory budget (floats) for the per-mode intermediate of kr_apply; a few
+# hundred KiB, so that no sketch needs a large short-lived array
+_CHUNK_BUDGET = 1 << 15
 
 
 class KhatriRaoSketch:
@@ -49,24 +50,27 @@ def kr_sketch_new(dims, rows: int, seed=0) -> KhatriRaoSketch:
 def kr_apply(s: KhatriRaoSketch, v: TTVector) -> np.ndarray:
     """Apply the sketch to a TT vector, returning a dense length-s vector.
 
-    Per mode, every row keeps a running 1 x r_k state; all rows advance in
-    one batched contraction, O(s d n r^2) total.
+    Per mode, every row keeps a running 1 x r_k state.  A block of rows
+    advances by contracting its states with the core (one matrix product)
+    and then with its factor rows, O(s d n r^2) total.  The intermediate
+    is rows x n x r_{k+1}; blocks of rows keep it within _CHUNK_BUDGET.
     """
     if s.dims != v.dims:
         raise ShapeMismatch(f"sketch dims {s.dims} do not match vector {v.dims}")
     rows = s.rows
-    out = np.empty(rows)
-    r_max = max(v.ranks)
-    chunk = max(1, int(_CHUNK_BUDGET // max(r_max * r_max, 1)))
-    for lo in range(0, rows, chunk):
-        hi = min(lo + chunk, rows)
-        state = np.ones((hi - lo, 1))
-        for f, c in zip(s.factors, v.cores):
-            # (rows, n) x (r0, n, r1) -> (rows, r0, r1)
-            m = np.tensordot(f[lo:hi], c, axes=([1], [1]))
-            state = np.einsum("sr,srt->st", state, m)
-        out[lo:hi] = state[:, 0]
-    return out
+    state = np.ones((rows, 1))
+    for f, c in zip(s.factors, v.cores):
+        r0, n, r1 = c.shape
+        blocks = -(-rows * n * r1 // _CHUNK_BUDGET)
+        step = -(-rows // blocks)
+        nxt = np.empty((rows, r1))
+        for lo in range(0, rows, step):
+            blk = slice(lo, lo + step)
+            # (b, r0) x (r0, n, r1) -> (b, n, r1), then the factor rows
+            t = (state[blk] @ c.reshape(r0, n * r1)).reshape(-1, n, r1)
+            nxt[blk] = np.einsum("sn,snt->st", f[blk], t)
+        state = nxt
+    return state[:, 0]
 
 
 def kr_dense_matrix(s: KhatriRaoSketch, max_entries: int = 1_000_000) -> np.ndarray:
