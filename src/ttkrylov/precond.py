@@ -3,9 +3,18 @@
 1/z is approximated by sum_j alpha_j exp(-beta_j z) over a spectral
 interval, turning the inverse of a Kronecker sum into a short sum of
 rank-preserving mode multiplications with cached matrix exponentials.
+
+The fit (``expsum_coeffs``) places the nodes beta_j by a pattern search over
+geometric ladders.  For each ladder the best nonnegative weights on a grid
+come from a discrete linear Remez exchange (``_exchange_weights``); a linear
+program (``_minimax_weights``) settles only the ladders the exchange cannot:
+those with a negative weight that a lower bound does not rule out, and
+those where rounding stops the exchange.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 import scipy.linalg
@@ -14,6 +23,10 @@ from scipy.optimize import linprog
 from .tt import RoundedSum, RoundSpec, ShapeMismatch, TTVector, tt_round
 
 _EVAL_POINTS = 1000
+# the exchange stops when its grid error is within a factor 1 + _EXCHANGE_TOL
+# of its lower bound, and gives up after _EXCHANGE_STEPS steps per node
+_EXCHANGE_TOL = 1e-9
+_EXCHANGE_STEPS = 20
 
 
 def matrix_exp(m: np.ndarray) -> np.ndarray:
@@ -32,13 +45,23 @@ def _eval_relerr(z, alpha, beta):
     return z * e - 1.0
 
 
-def _minimax_weights(z, beta):
-    """Best nonnegative weights for fixed nodes: a small linear program."""
+def _scaled_basis(z, beta):
+    """The functions z*exp(-beta_j z) on the grid z, each column scaled to
+    max-norm 1; returns (basis, scale)."""
     with np.errstate(over="ignore", under="ignore"):
         basis = z[:, None] * np.exp(-np.clip(np.outer(z, beta), 0.0, 700.0))
     scale = np.abs(basis).max(axis=0)
     scale[scale == 0] = 1.0
-    bs = basis / scale[None, :]
+    return basis / scale, scale
+
+
+def _minimax_weights(bs):
+    """Best nonnegative weights for the scaled basis ``bs`` by a linear
+    program: minimise t subject to |bs @ a - 1| <= t, a >= 0.
+
+    The fallback of ``_window_weights`` when the exchange cannot settle a
+    window.  Returns (a, t), or (None, inf) if the solver fails.
+    """
     npts, m = bs.shape
     cost = np.zeros(m + 1)
     cost[-1] = 1.0
@@ -58,29 +81,125 @@ def _minimax_weights(z, beta):
     )
     if res.status != 0:
         return None, np.inf
-    return res.x[:m] / scale, float(res.x[m])
+    return res.x[:m], float(res.x[m])
+
+
+def _exchange_weights(bs):
+    """Unconstrained minimax weights for the scaled basis ``bs`` by a
+    discrete linear Remez (Stiefel single-point) exchange.
+
+    The columns z*exp(-beta_j z) with distinct nodes form a Haar system, so
+    the best fit of 1 equioscillates on m+1 grid points.  Each step solves
+    for the weights a and level h that make the error alternate with
+    modulus |h| on a reference of m+1 points, then swaps the grid point of
+    largest error into the reference, keeping the signs alternating.  By de
+    la Vallee Poussin, the smallest error on a reference where the error
+    alternates is a lower bound on every fit's error, the nonnegative ones
+    included.
+
+    Returns (a, err, bound): the weights, their max error on the grid and
+    the largest such lower bound met, with err <= bound * (1 +
+    _EXCHANGE_TOL).  If a reference is singular or rounding stops the
+    exchange first, a and err are None and bound is the last lower bound
+    (0 if none).
+    """
+    npts, m = bs.shape
+    # start from m+1 points where the basis and the constant are well
+    # separated: the pivots of a QR of every 8th grid point
+    coarse = np.vstack([bs[::8].T, np.ones(len(bs[::8]))])
+    ref = 8 * np.sort(scipy.linalg.qr(coarse, mode="r", pivoting=True)[1][: m + 1])
+    mat = np.empty((m + 1, m + 1))
+    mat[:, m] = (-1.0) ** np.arange(m + 1)
+    ones = np.ones(m + 1)
+    h_prev = bound = 0.0
+    for _ in range(_EXCHANGE_STEPS * (m + 1)):
+        mat[:, :m] = bs[ref]
+        try:
+            sol = np.linalg.solve(mat, ones)
+        except np.linalg.LinAlgError:
+            break
+        a, h = sol[:m], abs(sol[m])
+        # |h| never falls in exact arithmetic: if it does, rounding has
+        # taken over
+        if not h >= h_prev * (1.0 - _EXCHANGE_TOL):
+            break
+        h_prev = h
+        err = bs @ a - 1.0
+        sgn = np.sign(err[ref])
+        if np.all(sgn[1:] == -sgn[:-1]):
+            bound = max(bound, float(np.min(np.abs(err[ref]))))
+        i = int(np.argmax(np.abs(err)))
+        if abs(err[i]) <= bound * (1.0 + _EXCHANGE_TOL):
+            return a, float(abs(err[i])), bound
+        k = int(np.searchsorted(ref, i))
+        if k <= m and ref[k] == i:
+            break  # the worst point is already in the reference
+        # swap i in for the neighbour whose error has its sign; past either
+        # end with the opposite sign, drop the point at the other end
+        s_i = np.sign(err[i])
+        if k == 0 and sgn[0] != s_i:
+            ref = np.concatenate([[i], ref[:-1]])
+        elif k == m + 1 and sgn[m] != s_i:
+            ref = np.concatenate([ref[1:], [i]])
+        elif k == m + 1 or (k > 0 and sgn[k - 1] == s_i):
+            ref[k - 1] = i
+        else:
+            ref[k] = i
+    return None, None, bound
+
+
+def _window_weights(bs, best):
+    """Best nonnegative weights for the scaled basis ``bs``, as (a, err).
+
+    Takes the exchange's fit when its weights are nonnegative: it is then
+    also the best nonnegative fit.  Returns None when the exchange's lower
+    bound shows that no nonnegative fit can beat ``best``.  Otherwise
+    (negative weights, or an exchange stopped by rounding) solves the
+    linear program.
+    """
+    a, err, bound = _exchange_weights(bs)
+    if a is not None and np.all(a >= 0):
+        return a, err
+    if bound >= best:
+        return None
+    return _minimax_weights(bs)
 
 
 def expsum_coeffs(lambda_min: float, lambda_max: float, zeta: int):
     """Exponential-sum coefficients for 1/z on [lambda_min, lambda_max].
 
     Nodes beta_j = exp(s_j) sit on a uniform grid s_j = s_lo + j*h (the
-    trapezoid grid of the integral 1/z = int exp(-z e^s + s) ds); the
-    window is tuned by a pattern search and the weights alpha_j are the
-    minimax-optimal ones for those nodes (linear program), which lands
+    trapezoid grid of the integral 1/z = int exp(-z e^s + s) ds).  A
+    pattern search tunes the window (s_lo, s_hi): a 6 x 6 scan, then
+    compass moves of halving size.  For each window the weights alpha_j are
+    the minimax-optimal nonnegative ones for those nodes on max(1200,
+    20*zeta) log-spaced points (``_window_weights``: a Remez exchange, or a
+    linear program where the exchange cannot settle it); a window that a
+    lower bound shows cannot beat the best so far is skipped.  This lands
     close to the best attainable exponential sum.  Falls back to the raw
-    trapezoid weights h*exp(s_j) if the LP solver fails.
+    trapezoid weights h*exp(s_j) if the linear program fails.
 
-    Returns (alpha, beta, bound) with bound = max over 1000 log-spaced z
-    of |z * E(z) - 1|, measured directly.
+    The relative error is scale-invariant: the fit on [c*lo, c*hi] has
+    nodes beta/c and, up to rounding, the same bound.
+
+    Raises ValueError unless the endpoints are finite with 0 < lambda_min
+    <= lambda_max and zeta is an integer >= 1.  Returns (alpha, beta,
+    bound) with bound = max over 1000 log-spaced z of |z * E(z) - 1|,
+    measured directly.
     """
-    if lambda_min <= 0:
+    lo, hi = float(lambda_min), float(lambda_max)
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ValueError("lambda_min and lambda_max must be finite")
+    if lo <= 0:
         raise ValueError("lambda_min must be positive")
-    if lambda_max < lambda_min:
+    if hi < lo:
         raise ValueError("lambda_max must be >= lambda_min")
+    try:
+        zeta = operator.index(zeta)
+    except TypeError:
+        raise ValueError(f"zeta must be an integer, got {zeta!r}") from None
     if zeta < 1:
         raise ValueError("zeta must be >= 1")
-    lo, hi = float(lambda_min), float(lambda_max)
     if hi / lo < 1.0 + 1e-9:
         lo, hi = lo * (1.0 - 1e-9), hi * (1.0 + 1e-9)
     z = np.logspace(np.log10(lo), np.log10(hi), max(1200, 20 * zeta))
@@ -93,21 +212,26 @@ def expsum_coeffs(lambda_min: float, lambda_max: float, zeta: int):
             return np.array([np.sqrt(bmin * bmax)])
         return np.geomspace(bmin, bmax, zeta)
 
-    def score(u, v):
+    def score(u, v, best_sig):
         beta = ladder(u, v)
         if beta is None:
             return None, None, np.inf
-        alpha, sig = _minimax_weights(z, beta)
-        if alpha is None:
+        bs, scale = _scaled_basis(z, beta)
+        fit = _window_weights(bs, best_sig)
+        if fit is None:
+            return None, None, np.inf  # cannot beat best_sig
+        a, sig = fit
+        if a is None:
             h = (v - u + np.log(hi / lo)) / max(zeta - 1, 1)
             alpha = h * beta  # plain truncated-trapezoid weights
             sig = float(np.max(np.abs(_eval_relerr(z, alpha, beta))))
-        return alpha, beta, sig
+            return alpha, beta, sig
+        return a / scale, beta, sig
 
     best = (np.inf, None, None, (0.0, 0.0))
     for u in np.linspace(-1.5, 2.0, 6):
         for v in np.linspace(-1.0, 2.5, 6):
-            alpha, beta, sig = score(u, v)
+            alpha, beta, sig = score(u, v, best[0])
             if sig < best[0]:
                 best = (sig, alpha, beta, (u, v))
     u, v = best[3]
@@ -115,7 +239,7 @@ def expsum_coeffs(lambda_min: float, lambda_max: float, zeta: int):
     while step > 0.02:
         moved = False
         for du, dv in ((step, 0), (-step, 0), (0, step), (0, -step), (step, step), (-step, -step)):
-            alpha, beta, sig = score(u + du, v + dv)
+            alpha, beta, sig = score(u + du, v + dv, best[0])
             if sig < best[0]:
                 best = (sig, alpha, beta, (u + du, v + dv))
                 u, v = u + du, v + dv
@@ -141,6 +265,8 @@ def spectral_interval(factors):
     for i, f in enumerate(mats):
         if f.ndim != 2 or f.shape[0] != f.shape[1]:
             raise ShapeMismatch(f"factor {i} is not square")
+        if not np.all(np.isfinite(f)):
+            raise ValueError(f"factor {i} has non-finite entries")
     hi_total = 0.0
     lo_total = 0.0
     for f in mats:

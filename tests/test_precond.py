@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+import ttkrylov as ttk
+from ttkrylov import precond
 from ttkrylov.precond import (
     ExpSumPreconditioner,
+    _exchange_weights,
+    _scaled_basis,
+    _window_weights,
     expsum_coeffs,
     matrix_exp,
     mode_multiply,
@@ -38,6 +44,45 @@ def taylor_expm(m, tol=1e-16):
     return out
 
 
+# Bounds of the fit when every window's weights came from a linear program
+# (HiGHS), before the Remez exchange; no interval may get worse than these
+LP_SEARCH_BOUNDS = {
+    (1.0, 1.0, 20): 1.5537400255e-09,
+    (0.5, 60.0, 12): 9.8605212356e-06,
+    (0.123, 840.0, 17): 1.7333486083e-05,
+    (4e-7, 40.0, 33): 6.9668214321e-06,
+    (0.2, 30.0, 9): 1.7015273634e-04,
+}
+
+
+def fit_pinned(lo, hi, zeta):
+    alpha, beta, bound = expsum_coeffs(lo, hi, zeta)
+    assert bound <= LP_SEARCH_BOUNDS[lo, hi, zeta] * (1 + 1e-6)
+    return alpha, beta, bound
+
+
+def lp_oracle(bs):
+    """min t s.t. |bs @ a - 1| <= t, a >= 0, at tight solver tolerances."""
+    npts, m = bs.shape
+    cost = np.zeros(m + 1)
+    cost[-1] = 1.0
+    a_ub = np.block([[bs, -np.ones((npts, 1))], [-bs, -np.ones((npts, 1))]])
+    b_ub = np.concatenate([np.ones(npts), -np.ones(npts)])
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=(0, None), method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0
+    return res.x[:m], float(res.x[m])
+
+
+def window_basis(lo, hi, zeta, u, v, beta=None):
+    """The scaled basis ``expsum_coeffs`` builds for the window (u, v)."""
+    z = np.logspace(np.log10(lo), np.log10(hi), max(1200, 20 * zeta))
+    if beta is None:
+        beta = np.geomspace(np.exp(u) / hi, np.exp(v) / lo, zeta)
+    return _scaled_basis(z, np.asarray(beta))[0]
+
+
 def laplacian(n):
     t = -2.0 * np.eye(n) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
     return -t  # positive definite orientation
@@ -68,35 +113,128 @@ class TestMatrixExp:
 
 class TestExpsumCoeffs:
     def test_point_interval_high_zeta(self):
-        alpha, beta, bound = expsum_coeffs(1.0, 1.0, 20)
+        alpha, beta, bound = fit_pinned(1.0, 1.0, 20)
         e = float(alpha @ np.exp(-beta * 1.0))
         assert abs(e - 1.0) <= 1e-8
         assert bound <= 1e-8
 
     def test_bound_is_measured(self):
-        alpha, beta, bound = expsum_coeffs(0.5, 60.0, 12)
+        alpha, beta, bound = fit_pinned(0.5, 60.0, 12)
         z = np.logspace(np.log10(0.5), np.log10(60.0), 1000)
         err = np.max(np.abs(z * (np.exp(-np.outer(z, beta)) @ alpha) - 1.0))
         assert err <= bound + 1e-12
 
     def test_pde_like_interval_zeta17(self):
         # the regime used by the preconditioned convection-diffusion runs
-        _, _, bound = expsum_coeffs(0.123, 840.0, 17)
+        _, _, bound = fit_pinned(0.123, 840.0, 17)
         assert bound <= 1e-4
 
     def test_wide_interval_zeta33(self):
-        _, _, bound = expsum_coeffs(4e-7, 40.0, 33)
+        _, _, bound = fit_pinned(4e-7, 40.0, 33)
         assert bound <= 1e-4
 
     def test_betas_positive(self):
-        _, beta, _ = expsum_coeffs(0.2, 30.0, 9)
+        _, beta, _ = fit_pinned(0.2, 30.0, 9)
         assert np.all(beta > 0)
+
+    @pytest.mark.parametrize(
+        "problem, lp_bound",
+        [
+            (ttk.MarkovSpec(d=4, n=20, seed=0), 9.8367790417e-02),
+            (ttk.ConvectionDiffusionSpec(d=4, n=34), 7.3230856910e-04),
+            (ttk.ConvectionDiffusionSpec(d=6, n=64), 1.7285204456e-03),
+        ],
+        ids=["markov4", "cd4", "cd6"],
+    )
+    def test_benchmark_intervals(self, problem, lp_bound):
+        if isinstance(problem, ttk.MarkovSpec):
+            factors = ttk.markov_factor_matrices(problem)
+        else:
+            factors = ttk.cd_factor_matrices(problem)
+        _, beta, bound = expsum_coeffs(*spectral_interval(factors), 9)
+        assert bound <= lp_bound * (1 + 1e-6)
+        if isinstance(problem, ttk.MarkovSpec):
+            # the window the linear-program search chose
+            assert np.allclose(beta[[0, -1]], [0.04973705835922108, 2234830.0910786605],
+                               rtol=1e-12, atol=0)
+
+    def test_scale_invariance(self):
+        _, beta, bound = expsum_coeffs(0.2, 30.0, 9)
+        for c in (1e-3, 7.0, 1e4):
+            _, beta_c, bound_c = expsum_coeffs(0.2 * c, 30.0 * c, 9)
+            assert np.allclose(beta_c * c, beta, rtol=1e-12, atol=0)
+            assert bound_c == pytest.approx(bound, rel=1e-8)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
             expsum_coeffs(0.0, 1.0, 5)
         with pytest.raises(ValueError):
             expsum_coeffs(-1.0, 1.0, 5)
+
+    @pytest.mark.parametrize("lo, hi", [(np.nan, 1.0), (1.0, np.nan), (1.0, np.inf)])
+    def test_non_finite_endpoint(self, lo, hi):
+        with pytest.raises(ValueError, match="finite"):
+            expsum_coeffs(lo, hi, 3)
+
+    @pytest.mark.parametrize("zeta", [2.5, 3.0, "3"])
+    def test_non_integer_zeta(self, zeta):
+        with pytest.raises(ValueError, match="integer"):
+            expsum_coeffs(1.0, 2.0, zeta)
+
+
+class TestExchange:
+    """The Remez exchange against a linear program on single windows."""
+
+    # windows whose unconstrained minimax weights are all nonnegative
+    @pytest.mark.parametrize(
+        "lo, hi, zeta, u, v",
+        [
+            (2.85e-7, 28.5, 9, 0.0, 0.5),
+            (2.85e-7, 28.5, 9, 0.6, 1.1),
+            (2.85e-7, 28.5, 9, -1.5, -1.0),
+            (0.1, 50.0, 9, -0.8, 1.8),
+        ],
+    )
+    def test_matches_lp_and_equioscillates(self, lo, hi, zeta, u, v):
+        bs = window_basis(lo, hi, zeta, u, v)
+        a, err, bound = _exchange_weights(bs)
+        assert a is not None and np.all(a >= 0)
+        assert bound <= err <= bound * (1 + 1e-8)
+        _, t = lp_oracle(bs)
+        assert err == pytest.approx(t, rel=1e-8)
+        e = bs @ a - 1.0
+        assert np.max(np.abs(e)) == err
+        # sign runs among the points where |e| reaches err
+        near = np.sign(e[np.abs(e) >= err * (1 - 1e-8)])
+        runs = 1 + np.count_nonzero(near[1:] != near[:-1])
+        assert runs >= zeta + 1
+
+    def test_negative_weight_reaches_lp(self, monkeypatch):
+        bs = window_basis(0.2, 30.0, 9, 0.0, 0.5)
+        a, err, bound = _exchange_weights(bs)
+        assert np.any(a < 0)
+        calls = []
+        lp = precond._minimax_weights
+        monkeypatch.setattr(precond, "_minimax_weights", lambda b: calls.append(b) or lp(b))
+        w, sig = _window_weights(bs, np.inf)
+        assert len(calls) == 1
+        assert np.all(w >= 0)
+        assert sig >= bound
+        assert np.max(np.abs(bs @ w - 1.0)) == pytest.approx(lp_oracle(bs)[1], rel=1e-6)
+        # a window whose lower bound reaches the best error so far is skipped
+        assert _window_weights(bs, bound) is None
+        assert len(calls) == 1
+
+    def test_singular_reference_falls_back_to_lp(self, monkeypatch):
+        bs = window_basis(0.2, 30.0, 4, 0, 0, beta=[0.05, 0.05, 0.5, 2.0])  # a repeated node
+        a, err, bound = _exchange_weights(bs)
+        assert a is None and err is None
+        calls = []
+        lp = precond._minimax_weights
+        monkeypatch.setattr(precond, "_minimax_weights", lambda b: calls.append(b) or lp(b))
+        w, sig = _window_weights(bs, np.inf)
+        assert len(calls) == 1
+        assert np.all(w >= 0) and np.isfinite(sig)
 
 
 class TestSpectralInterval:
@@ -109,6 +247,12 @@ class TestSpectralInterval:
         lo, hi = spectral_interval([np.diag([1.0, 2.0, 3.0])])
         assert lo <= 1.0 + 1e-6
         assert hi >= 3.0 - 1e-12
+
+    def test_non_finite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            spectral_interval([[[np.nan]]])
+        with pytest.raises(ValueError, match="factor 1"):
+            spectral_interval([np.eye(2), np.array([[1.0, np.inf], [0.0, 1.0]])])
 
     def test_laplacian_containment(self):
         factors = [laplacian(8) for _ in range(3)]
