@@ -24,7 +24,7 @@ from .tt import RoundedSum, RoundSpec, ShapeMismatch, TTVector, tt_round
 
 _EVAL_POINTS = 1000
 # the exchange stops when its grid error is within a factor 1 + _EXCHANGE_TOL
-# of its lower bound, and gives up after _EXCHANGE_STEPS steps per node
+# of its lower bound, and gives up after _EXCHANGE_STEPS steps per reference point
 _EXCHANGE_TOL = 1e-9
 _EXCHANGE_STEPS = 20
 
@@ -100,8 +100,8 @@ def _exchange_weights(bs):
     Returns (a, err, bound): the weights, their max error on the grid and
     the largest such lower bound met, with err <= bound * (1 +
     _EXCHANGE_TOL).  If a reference is singular or rounding stops the
-    exchange first, a and err are None and bound is the last lower bound
-    (0 if none).
+    exchange first, a and err are None; bound is still the largest lower
+    bound met (0 if none).
     """
     npts, m = bs.shape
     # start from m+1 points where the basis and the constant are well

@@ -75,12 +75,14 @@ def lp_oracle(bs):
     return res.x[:m], float(res.x[m])
 
 
-def window_basis(lo, hi, zeta, u, v, beta=None):
+def fit_grid(lo, hi, zeta):
+    return np.logspace(np.log10(lo), np.log10(hi), max(1200, 20 * zeta))
+
+
+def window_basis(lo, hi, zeta, u, v):
     """The scaled basis ``expsum_coeffs`` builds for the window (u, v)."""
-    z = np.logspace(np.log10(lo), np.log10(hi), max(1200, 20 * zeta))
-    if beta is None:
-        beta = np.geomspace(np.exp(u) / hi, np.exp(v) / lo, zeta)
-    return _scaled_basis(z, np.asarray(beta))[0]
+    beta = np.geomspace(np.exp(u) / hi, np.exp(v) / lo, zeta)
+    return _scaled_basis(fit_grid(lo, hi, zeta), beta)[0]
 
 
 def laplacian(n):
@@ -138,25 +140,22 @@ class TestExpsumCoeffs:
         assert np.all(beta > 0)
 
     @pytest.mark.parametrize(
-        "problem, lp_bound",
+        "factors, lp_bound, beta_ends",
         [
-            (ttk.MarkovSpec(d=4, n=20, seed=0), 9.8367790417e-02),
-            (ttk.ConvectionDiffusionSpec(d=4, n=34), 7.3230856910e-04),
-            (ttk.ConvectionDiffusionSpec(d=6, n=64), 1.7285204456e-03),
+            (ttk.markov_factor_matrices(ttk.MarkovSpec(d=4, n=20, seed=0)), 9.8367790417e-02,
+             (0.04973705835922108, 2234830.0910786605)),  # the LP search's window
+            (ttk.cd_factor_matrices(ttk.ConvectionDiffusionSpec(d=4, n=34)), 7.3230856910e-04,
+             None),
+            (ttk.cd_factor_matrices(ttk.ConvectionDiffusionSpec(d=6, n=64)), 1.7285204456e-03,
+             None),
         ],
         ids=["markov4", "cd4", "cd6"],
     )
-    def test_benchmark_intervals(self, problem, lp_bound):
-        if isinstance(problem, ttk.MarkovSpec):
-            factors = ttk.markov_factor_matrices(problem)
-        else:
-            factors = ttk.cd_factor_matrices(problem)
+    def test_benchmark_intervals(self, factors, lp_bound, beta_ends):
         _, beta, bound = expsum_coeffs(*spectral_interval(factors), 9)
         assert bound <= lp_bound * (1 + 1e-6)
-        if isinstance(problem, ttk.MarkovSpec):
-            # the window the linear-program search chose
-            assert np.allclose(beta[[0, -1]], [0.04973705835922108, 2234830.0910786605],
-                               rtol=1e-12, atol=0)
+        if beta_ends is not None:
+            assert np.allclose(beta[[0, -1]], beta_ends, rtol=1e-12, atol=0)
 
     def test_scale_invariance(self):
         _, beta, bound = expsum_coeffs(0.2, 30.0, 9)
@@ -180,6 +179,15 @@ class TestExpsumCoeffs:
     def test_non_integer_zeta(self, zeta):
         with pytest.raises(ValueError, match="integer"):
             expsum_coeffs(1.0, 2.0, zeta)
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """Record each call of the linear-program fallback."""
+    calls = []
+    lp = precond._minimax_weights
+    monkeypatch.setattr(precond, "_minimax_weights", lambda bs: calls.append(bs) or lp(bs))
+    return calls
 
 
 class TestExchange:
@@ -209,31 +217,26 @@ class TestExchange:
         runs = 1 + np.count_nonzero(near[1:] != near[:-1])
         assert runs >= zeta + 1
 
-    def test_negative_weight_reaches_lp(self, monkeypatch):
+    def test_negative_weight_reaches_lp(self, lp_calls):
         bs = window_basis(0.2, 30.0, 9, 0.0, 0.5)
         a, err, bound = _exchange_weights(bs)
         assert np.any(a < 0)
-        calls = []
-        lp = precond._minimax_weights
-        monkeypatch.setattr(precond, "_minimax_weights", lambda b: calls.append(b) or lp(b))
         w, sig = _window_weights(bs, np.inf)
-        assert len(calls) == 1
+        assert len(lp_calls) == 1
         assert np.all(w >= 0)
         assert sig >= bound
         assert np.max(np.abs(bs @ w - 1.0)) == pytest.approx(lp_oracle(bs)[1], rel=1e-6)
         # a window whose lower bound reaches the best error so far is skipped
         assert _window_weights(bs, bound) is None
-        assert len(calls) == 1
+        assert len(lp_calls) == 1
 
-    def test_singular_reference_falls_back_to_lp(self, monkeypatch):
-        bs = window_basis(0.2, 30.0, 4, 0, 0, beta=[0.05, 0.05, 0.5, 2.0])  # a repeated node
+    def test_singular_reference_falls_back_to_lp(self, lp_calls):
+        # a repeated node: every reference matrix is singular
+        bs = _scaled_basis(fit_grid(0.2, 30.0, 4), np.array([0.05, 0.05, 0.5, 2.0]))[0]
         a, err, bound = _exchange_weights(bs)
         assert a is None and err is None
-        calls = []
-        lp = precond._minimax_weights
-        monkeypatch.setattr(precond, "_minimax_weights", lambda b: calls.append(b) or lp(b))
         w, sig = _window_weights(bs, np.inf)
-        assert len(calls) == 1
+        assert len(lp_calls) == 1
         assert np.all(w >= 0) and np.isfinite(sig)
 
 
