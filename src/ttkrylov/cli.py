@@ -29,7 +29,8 @@ library's default, and a section or key not listed here is an error:
 * ``[preconditioner]``: ``type = expsum`` with ``zeta`` and, optionally,
   ``max_rank`` (default: the solver's), passed to
   ``ExpSumPreconditioner.from_kron_sum`` with the solver's ``eta * tol``
-  as its tolerance; ``tt_spgmres`` needs it.
+  as its tolerance and the solve seed + 7 as its stream seed;
+  ``tt_spgmres`` needs it.
 * ``[output]``: ``csv`` (the ``solve`` trace file name) and
   ``track_true_residual``.
 * ``[compare]``: ``variants``, and ``[sweep]``: ``axis`` and ``values``,
@@ -217,15 +218,16 @@ def build_preconditioner(cp, factors, cfg):
     zeta = _get(cp, "preconditioner", "zeta", int, required=True)
     cap = _get(cp, "preconditioner", "max_rank", int, cfg.max_rank)
     spec = RoundSpec(cfg.eta * cfg.tol, cap)
-    return ExpSumPreconditioner.from_kron_sum(factors, zeta, spec)
+    return ExpSumPreconditioner.from_kron_sum(factors, zeta, spec, stream_seed=cfg.seed + 7)
 
 
 def run_variant(name, cp, overrides, problem=None):
     """Run one solver variant from x0 = 0; returns (report, wall seconds).
 
-    For the solve seed s the Khatri-Rao sketch is drawn with seed s and the
-    solvers draw the recovery frame with seed s+1.  The wall time includes
-    the preconditioner set-up.
+    For the solve seed s the Khatri-Rao sketch is drawn with seed s, the
+    solvers draw the recovery frame with seed s+1 and the preconditioner's
+    frames come from seed s+7.  The wall time includes the preconditioner
+    set-up.
     """
     if name not in SOLVER_NAMES:
         raise ConfigError(f"unknown solver name '{name}'")

@@ -2,7 +2,8 @@
 
 1/z is approximated by sum_j alpha_j exp(-beta_j z) over a spectral
 interval, turning the inverse of a Kronecker sum into a short sum of
-rank-preserving mode multiplications with cached matrix exponentials.
+rank-preserving mode multiplications with cached matrix exponentials.  An
+apply rounds that sum in one streamed pass (``ExpSumPreconditioner``).
 
 The fit (``expsum_coeffs``) places the nodes beta_j by a pattern search over
 geometric ladders.  For each ladder the best nonnegative weights on a grid
@@ -20,7 +21,9 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import linprog
 
-from .tt import RoundedSum, RoundSpec, ShapeMismatch, TTVector, tt_round
+from .streaming import AdaptiveStreamedSum, FrameLadder
+# mode_multiply lives in tt; it stays importable from here, where it was
+from .tt import RoundSpec, ShapeMismatch, TTVector, mode_multiply  # noqa: F401
 
 _EVAL_POINTS = 1000
 # the exchange stops when its grid error is within a factor 1 + _EXCHANGE_TOL
@@ -78,6 +81,9 @@ def _minimax_weights(bs):
         b_ub=b_ub,
         bounds=[(0, None)] * m + [(0, None)],
         method="highs",
+        # at its default tolerances HiGHS stops up to ~1 % above the optimum
+        options={"primal_feasibility_tolerance": 1e-10,
+                 "dual_feasibility_tolerance": 1e-10},
     )
     if res.status != 0:
         return None, np.inf
@@ -306,32 +312,26 @@ def _smallest_eig_estimate(sym, shift):
     return max(rho - res, 0.0)
 
 
-def mode_multiply(v: TTVector, matrices) -> TTVector:
-    """Multiply mode k of the tensor by matrices[k]; ranks unchanged."""
-    if len(matrices) != v.d:
-        raise ShapeMismatch("need one matrix per mode")
-    cores = []
-    for m, c in zip(matrices, v.cores):
-        m = np.asarray(m, dtype=np.float64)
-        if m.shape[1] != c.shape[1]:
-            raise ShapeMismatch("matrix columns must match mode size")
-        g = np.tensordot(c, m, axes=([1], [1]))  # (r0, r1, m_rows)
-        cores.append(g.transpose(0, 2, 1))
-    return TTVector(cores)
-
-
 class ExpSumPreconditioner:
     """Approximate inverse of a Kronecker sum via exponential sums.
 
     Caches the zeta*d factor exponentials exp(-beta_j A_i) at
-    construction.  An apply adds the zeta rank-preserving mode products
-    alpha_j * (x_i exp(-beta_j A_i)) v by rounded additions at the spec's
-    tolerance (a ``RoundedSum``), then rounds the sum once more at the
-    full spec, so its rank cap applies to the result only.
+    construction.  An apply forms the zeta rank-preserving mode products
+    (x_i exp(-beta_j A_i)) v and rounds their alpha-weighted sum in one
+    streamed pass, an ``AdaptiveStreamedSum``: the products are sketched
+    against one frame, the weighted sketches added and recovered once at
+    the spec's tolerance, and the frame doubles in rank until the recovered
+    rank leaves room in it.  The spec's rank cap applies to the result
+    only.  Every apply draws its frames afresh from ``stream_seed``, so an
+    input gives bitwise the same result on every call; a P^{-1} that
+    changed from call to call would keep the sketched solvers' breakdown
+    stop from firing.  Keeping the frames between applies would save their
+    draw (~1 ms at markov4 sizes) but, held through the solver's own
+    roundings, raised markov4-spgmres peak RSS by 11-16 %.
     """
 
     def __init__(self, factors, alpha, beta, spec: RoundSpec,
-                 quad_bound: float | None = None):
+                 quad_bound: float | None = None, *, stream_seed: int = 0):
         self.factors = [np.asarray(f, dtype=np.float64) for f in factors]
         self.alpha = np.asarray(alpha, dtype=np.float64)
         self.beta = np.asarray(beta, dtype=np.float64)
@@ -344,6 +344,8 @@ class ExpSumPreconditioner:
         self.exps = [
             [matrix_exp(-bj * f) for f in self.factors] for bj in self.beta
         ]
+        FrameLadder(self.dims, seed=stream_seed)  # checks the seed; draws nothing
+        self.stream_seed = stream_seed
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -355,20 +357,20 @@ class ExpSumPreconditioner:
                       stream_seed: int = 0) -> "ExpSumPreconditioner":
         """Build coefficients for the spectral interval of sum_i (+) A_i.
 
-        ``accumulate`` and ``stream_seed`` exist only for the benchmark's
-        set-up, which passes them: ``accumulate`` must be ``"sequential"``
-        and ``stream_seed`` is ignored.
+        ``stream_seed`` seeds the apply's frames.  ``accumulate`` exists
+        only for the benchmark's set-up, which passes it, and must be
+        ``"sequential"``.
         """
         if accumulate != "sequential":
             raise ValueError("accumulate must be 'sequential'")
         alpha, beta, bound = expsum_coeffs(*spectral_interval(factors), zeta)
-        return cls(factors, alpha, beta, spec, quad_bound=bound)
+        return cls(factors, alpha, beta, spec, quad_bound=bound, stream_seed=stream_seed)
 
     def apply_inverse(self, v: TTVector) -> TTVector:
         """Apply the approximate inverse of the Kronecker sum to v."""
         if v.dims != self.dims:
             raise ShapeMismatch(f"vector dims {v.dims} do not match {self.dims}")
-        acc = RoundedSum(RoundSpec(self.spec.rel_tol))
+        acc = AdaptiveStreamedSum(FrameLadder(self.dims, seed=self.stream_seed), self.spec)
         for e in self.exps:
-            acc.add(mode_multiply(v, e))
-        return tt_round(acc.combine(self.alpha), self.spec)
+            acc.add(v, e)
+        return acc.combine(self.alpha)

@@ -31,8 +31,9 @@ z_k, and A z_k passes through three parts:
   the cap at a mode where it is below the full rank.
 * least squares: ``_HessenbergLsq`` (Givens-updated QR of the Hessenberg
   matrix) or ``_SketchedLsq`` (SVD least squares on the sketched basis).
-* assembly: one of the two rounded linear combinations of TT vectors, which
-  the preconditioner uses too, started at x0.  Every solution and every
+* assembly: one of the rounding layer's rounded linear combinations of TT
+  vectors, started at x0 (the preconditioner's apply uses the third,
+  ``AdaptiveStreamedSum``).  Every solution and every
   tracked true residual's x is its ``combine(y)`` = x0 + sum_i y_i z_i, the
   vectors whose images the least squares fitted (flexible GMRES, Saad
   1993): no P^{-1} follows it.  ``RoundedSum`` (``tt``) keeps the z_i and

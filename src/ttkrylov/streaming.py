@@ -1,20 +1,51 @@
-"""Streaming two-sided low-rank approximation of TT tensors.
+"""Streaming two-sided low-rank approximation of TT tensors (STTA).
 
-A pair of random Gaussian TT tensors (dimension-reduction maps) turns any
-TT vector into small per-mode sketch matrices via partial contractions.
-Sketches are linear in the input, so sums of tensors can be accumulated in
-sketch space and the result recovered once at the end, with pseudo-inverse
-core recovery in the style of the generalized Nystrom method.
+A frame, a pair of random Gaussian TT tensors (dimension-reduction maps),
+turns any TT vector into small per-mode sketch matrices via partial
+contractions.  Sketches are linear in the input, so a sum of tensors can be
+sketched term by term, the pairs added, and the sum recovered once, with
+pseudo-inverse core recovery in the style of the generalized Nystrom method
+(Kressner, Vandereycken and Voorhaar, arXiv:2208.02600).
+
+Two of the rounding layer's sums (``add``/``combine``; ``tt.RoundedSum`` is
+the third) are built on this.  ``StreamedSum`` keeps only the sketch pair
+of each term against one fixed frame, as the solvers' solution does.
+``AdaptiveStreamedSum`` keeps the terms and streams them through a
+``FrameLadder`` of nested frames of doubling rank, climbing until an
+a-posteriori check shows the frame had room for the sum, as the
+preconditioner's apply does.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .tt import RoundSpec, ShapeMismatch, TTVector, attainable_ranks, tt_add, tt_round, tt_zero
+from .tt import (
+    RoundSpec,
+    ShapeMismatch,
+    TTVector,
+    attainable_ranks,
+    mode_multiply,
+    tt_add,
+    tt_round,
+    tt_zero,
+)
 
 # Relative singular-value cutoff for the cross-matrix pseudo-inverses.
 PINV_RCOND = 1e-12
+# The cutoff of AdaptiveStreamedSum, near roundoff.  Its sums can span many
+# orders of magnitude (the preconditioner amplifies the slowest mode of a
+# Markov chain by ~3.5e6), and cutting their cross matrices at PINV_RCOND
+# dropped real components: the markov4-spgmres applies then varied enough
+# from call to call that 3 of 200 solve seeds missed the breakdown stop at
+# iteration 6 (none of 500 with this cutoff).
+SUM_PINV_RCOND = 1e-14
+# FrameLadder: the first rung's recovery rank and every rung's left
+# oversampling.  Inside a markov4-spgmres solve most preconditioner applies
+# (results of rank 2-14) end on the first rung; with oversampling 8 or 12
+# some applies there missed rel_tol against the sequential sum.
+LADDER_START = 16
+LADDER_OVERSAMPLING = 16
 
 
 class DegenerateRecovery(ValueError):
@@ -35,12 +66,29 @@ def tt_drm_new(dims, ranks, seed=0) -> TTVector:
         raise ValueError("ranks must have length d-1")
     if any(r < 1 for r in ranks):
         raise ValueError("ranks must be positive")
-    full = [1] + ranks + [1]
-    rng = np.random.default_rng(seed)
+    return _gaussian_tt(dims, ranks, ranks, np.random.default_rng(seed))
+
+
+def _gaussian_tt(dims, ranks, scale_ranks, rng, lead: TTVector | None = None) -> TTVector:
+    """A TT tensor with interior ranks ``ranks`` and i.i.d. Gaussian core
+    entries of the variance ``tt_drm_new`` gives ranks ``scale_ranks``,
+    drawn core by core from ``rng``; the cores of ``lead``, if given, then
+    overwrite the leading blocks."""
+    full, scale = [1, *ranks, 1], [1, *scale_ranks, 1]
     cores = []
-    for k in range(d):
-        var = 1.0 / (full[k] * dims[k] * full[k + 1])
-        cores.append(rng.normal(0.0, np.sqrt(var), size=(full[k], dims[k], full[k + 1])))
+    for k, n in enumerate(dims):
+        s = np.sqrt(1.0 / (scale[k] * n * scale[k + 1]))
+        if lead is None:
+            c = rng.standard_normal((full[k], n, full[k + 1]))
+            c *= s
+        else:  # draw only around the leading block
+            b = lead.cores[k]
+            a0, a1 = b.shape[0], b.shape[2]
+            c = np.empty((full[k], n, full[k + 1]))
+            c[:a0, :, :a1] = b
+            c[:a0, :, a1:] = s * rng.standard_normal((a0, n, full[k + 1] - a1))
+            c[a0:] = s * rng.standard_normal((full[k] - a0, n, full[k + 1]))
+        cores.append(c)
     return TTVector(cores)
 
 
@@ -79,6 +127,23 @@ class StreamFrame:
             right=tt_drm_new(dims, ranks, seed=s_right),
             left=tt_drm_new(dims, lranks, seed=s_left),
         )
+
+    def leading(self, recovery_ranks) -> "StreamFrame":
+        """The frame of the cores' leading blocks: recovery ranks at most
+        ``recovery_ranks``, left ranks above them by this frame's margin.
+
+        A leading block of a Gaussian TT-DRM is again one, so the result is
+        a valid frame, and it shares memory with this one.
+        """
+        right = [min(r, c) for r, c in zip(self.right.ranks[1:-1], recovery_ranks)]
+        left = [r + lm - rm for r, lm, rm in
+                zip(right, self.left.ranks[1:-1], self.right.ranks[1:-1])]
+
+        def blocks(tt, ranks):
+            full = [1, *ranks, 1]
+            return TTVector([c[: full[k], :, : full[k + 1]] for k, c in enumerate(tt.cores)])
+
+        return StreamFrame(blocks(self.right, right), blocks(self.left, left))
 
 
 class SketchPair:
@@ -129,27 +194,35 @@ def stream_sketch(t: TTVector, frame: StreamFrame) -> SketchPair:
     return SketchPair(psi, omega, t.dims)
 
 
+def add_scaled(acc: SketchPair | None, pair: SketchPair, c: float) -> SketchPair:
+    """acc + c * pair for pairs from one frame, in acc's arrays; with no
+    acc, a scaled copy of pair."""
+    if acc is None:
+        return SketchPair([m * c for m in pair.psi], [m * c for m in pair.omega], pair.dims)
+    for mats, into in ((pair.psi, acc.psi), (pair.omega, acc.omega)):
+        if pair.dims != acc.dims or [m.shape for m in mats] != [m.shape for m in into]:
+            raise ShapeMismatch("pairs come from different frames")
+        for k, m in enumerate(mats):
+            into[k] += c * m
+    return acc
+
+
 def combine_pairs(pairs, coeffs) -> SketchPair:
     """Entrywise weighted sum of sketch pairs from one frame."""
     if len(pairs) != len(coeffs) or not pairs:
         raise ValueError("need matching, nonempty pairs and coeffs")
-    first = pairs[0]
-    psi = [c * coeffs[0] for c in first.psi]
-    omega = [c * coeffs[0] for c in first.omega]
-    for p, a in zip(pairs[1:], coeffs[1:]):
-        for acc, mats in ((psi, p.psi), (omega, p.omega)):
-            if p.dims != first.dims or [m.shape for m in mats] != [m.shape for m in acc]:
-                raise ShapeMismatch("pairs come from different frames")
-            for k, m in enumerate(mats):
-                acc[k] += a * m
-    return SketchPair(psi, omega, first.dims)
+    acc = None
+    for p, c in zip(pairs, coeffs):
+        acc = add_scaled(acc, p, c)
+    return acc
 
 
-def stream_recover(pair: SketchPair, spec: RoundSpec = RoundSpec()) -> TTVector:
+def stream_recover(pair: SketchPair, spec: RoundSpec = RoundSpec(),
+                   rcond: float = PINV_RCOND) -> TTVector:
     """Reconstruct a TT vector from accumulated sketches.
 
     The cores carry the truncated-SVD pseudo-inverses of the cross
-    matrices (relative cutoff PINV_RCOND), with each inverse split
+    matrices (relative cutoff ``rcond``), with each inverse split
     symmetrically between the two neighbouring cores: for
     Omega_mu = U S V^T the left factor V S^{-1/2} closes core mu and
     S^{-1/2} U^T opens core mu+1.  The split keeps the recovered core
@@ -167,7 +240,7 @@ def stream_recover(pair: SketchPair, spec: RoundSpec = RoundSpec()) -> TTVector:
         if not np.any(omega):
             raise DegenerateRecovery(f"zero cross matrix at mode {mu + 1}")
         u, sv, vt = np.linalg.svd(omega, full_matrices=False)
-        keep = sv > PINV_RCOND * sv[0]
+        keep = sv > rcond * sv[0]
         u, sv, vt = u[:, keep], sv[keep], vt[keep]
         inv_sqrt = 1.0 / np.sqrt(sv)
         left_half.append(inv_sqrt[:, None] * u.T)
@@ -209,3 +282,86 @@ class StreamedSum:
     def combine(self, coeffs) -> TTVector:
         u = stream_recover(combine_pairs(self._pairs[: len(coeffs)], coeffs), self.spec)
         return u if self.start is None else tt_round(tt_add(self.start, u), self.spec)
+
+
+class FrameLadder:
+    """Nested frames of doubling recovery rank: LADDER_START,
+    2*LADDER_START, ... (clipped to the full ranks), with left ranks
+    LADDER_OVERSAMPLING higher.
+
+    Only the highest rung drawn so far is kept; every lower rung is its
+    leading blocks.  A new rung keeps the old cores as its leading blocks
+    and draws the rest from ``seed`` and the rung, with the entry scale of
+    the first rung's TT-DRM throughout.  So a rung depends only on the
+    dimensions, the seed and its number: two ladders with one seed give the
+    same maps, whichever rungs either has drawn.
+    """
+
+    def __init__(self, dims, seed=0):
+        if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+            raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+        self.dims, self.seed = tuple(dims), seed
+        self._top, self._height = None, -1
+
+    def _ranks(self, i):
+        right = [min(LADDER_START * 2**i, f) for f in attainable_ranks(self.dims)]
+        return right, [r + LADDER_OVERSAMPLING for r in right]
+
+    def _grow(self):
+        self._height += 1
+        seeds = np.random.SeedSequence([self.seed, self._height]).spawn(2)
+        prev = (None, None) if self._top is None else (self._top.right, self._top.left)
+        self._top = StreamFrame(*(
+            _gaussian_tt(self.dims, ranks, first, np.random.default_rng(s), lead)
+            for lead, ranks, first, s in zip(prev, self._ranks(self._height), self._ranks(0), seeds)
+        ))
+
+    def rung(self, i: int) -> StreamFrame:
+        while self._height < i:
+            self._grow()
+        return self._top.leading(self._ranks(i)[0])
+
+
+class AdaptiveStreamedSum:
+    """Linear combinations sum_i c_i t_i of TT vectors by one streamed
+    rounding whose frame grows until it has room for the sum.
+
+    ``add(t, matrices)`` keeps a term: t itself, or, with one matrix per
+    mode, the mode product of t with them (``mode_multiply``), which is
+    formed afresh whenever it is sketched, so that no more than one such
+    term is held at a time.  ``combine(coeffs)`` climbs ``ladder`` from its
+    first rung.  At each rung it sketches every term against the frame,
+    adds c_i times the pair into one running pair and recovers it once
+    (pseudo-inverse cutoff SUM_PINV_RCOND), rounded at ``spec.rel_tol``.
+    The recovery is accepted when, at every mode, the recovered rank leaves
+    at least max(4, r/4) of the frame's recovery rank r unused, or the
+    frame already reaches the sum's rank bound (the full rank, or the sum
+    of the terms' ranks), where recovery is exact.  Only then is the result
+    cut to ``spec.max_rank``, so that the cap never makes the frame grow.
+    """
+
+    def __init__(self, ladder: FrameLadder, spec: RoundSpec):
+        self.ladder, self.spec, self.terms = ladder, spec, []
+
+    def add(self, t: TTVector, matrices=None) -> None:
+        self.terms.append((t, matrices))
+
+    def combine(self, coeffs) -> TTVector:
+        terms = self.terms[: len(coeffs)]
+        if not terms:
+            raise ValueError("need at least one term")
+        # mode products keep the ranks of t
+        bound = [min(f, sum(t.ranks[m] for t, _ in terms))
+                 for m, f in enumerate(attainable_ranks(self.ladder.dims), 1)]
+        rung = 0
+        while True:
+            frame = self.ladder.rung(rung).leading(bound)
+            pair = None
+            for (t, mats), c in zip(terms, coeffs):
+                term = t if mats is None else mode_multiply(t, mats)
+                pair = add_scaled(pair, stream_sketch(term, frame), float(c))
+            u = stream_recover(pair, RoundSpec(self.spec.rel_tol), SUM_PINV_RCOND)
+            room = zip(u.ranks[1:-1], frame.right.ranks[1:-1], bound)
+            if all(r >= b or k <= r - max(4, r // 4) for k, r, b in room):
+                return u if self.spec.max_rank is None else tt_round(u, self.spec)
+            rung += 1

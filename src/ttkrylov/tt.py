@@ -295,6 +295,19 @@ def tt_scale(a: TTVector, alpha: float) -> TTVector:
     return TTVector(cores)
 
 
+def mode_multiply(v: TTVector, matrices) -> TTVector:
+    """Multiply mode k of the tensor by matrices[k]; ranks unchanged."""
+    if len(matrices) != v.d:
+        raise ShapeMismatch("need one matrix per mode")
+    cores = []
+    for m, c in zip(matrices, v.cores):
+        m = np.asarray(m, dtype=np.float64)
+        if m.shape[1] != c.shape[1]:
+            raise ShapeMismatch("matrix columns must match mode size")
+        cores.append(m @ c)  # (r0, m_rows, r1), contiguous
+    return TTVector(cores)
+
+
 def tt_dot(a: TTVector, b: TTVector) -> float:
     """Euclidean inner product via left-to-right core contraction.
 

@@ -10,7 +10,14 @@ from pathlib import Path
 import pytest
 
 import ttkrylov
-from ttkrylov.cli import CSV_HEADER, build_solver_config, main, parse_config
+from ttkrylov.cli import (
+    CSV_HEADER,
+    build_preconditioner,
+    build_problem,
+    build_solver_config,
+    main,
+    parse_config,
+)
 from ttkrylov.solvers import PHASES, SolverConfig
 
 
@@ -234,6 +241,15 @@ class TestSolverConfigKeys:
         cfg = build_solver_config(parse_config(tmp_path / "field.cfg"), NO_OVERRIDES)
         assert getattr(cfg, name) == value
         assert getattr(SolverConfig(), name) != value
+
+
+class TestPreconditionerKeys:
+    def test_stream_seed_follows_solve_seed(self):
+        cp = configparser.ConfigParser()
+        cp.read_string(BASE_PDE + "\n[preconditioner]\ntype = expsum\nzeta = 3\n")
+        cfg = build_solver_config(cp, NO_OVERRIDES)
+        p = build_preconditioner(cp, build_problem(cp)[2], cfg)
+        assert p.stream_seed == cfg.seed + 7
 
 
 class TestTraceColumns:

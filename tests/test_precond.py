@@ -14,7 +14,9 @@ from ttkrylov.precond import (
     mode_multiply,
     spectral_interval,
 )
+from ttkrylov.streaming import FrameLadder
 from ttkrylov.tt import (
+    RoundedSum,
     RoundSpec,
     ShapeMismatch,
     kron_sum_operator,
@@ -22,6 +24,7 @@ from ttkrylov.tt import (
     tt_matvec,
     tt_norm,
     tt_random,
+    tt_round,
     tt_scale,
     tt_to_dense,
 )
@@ -335,3 +338,94 @@ class TestPreconditioner:
         p = ExpSumPreconditioner([np.eye(3)], [1.0], [1.0], RoundSpec(0.0))
         with pytest.raises(ShapeMismatch):
             p.apply_inverse(tt_random([4], [], seed=11))
+
+
+def dense_apply(p, v):
+    """sum_j alpha_j (x_k exp(-beta_j A_k)) v, densely."""
+    x = tt_to_dense(v)
+    out = np.zeros_like(x)
+    for a, mats in zip(p.alpha, p.exps):
+        y = x
+        for k, m in enumerate(mats):
+            y = np.moveaxis(np.tensordot(m, y, axes=([1], [k])), 0, k)
+        out += a * y
+    return out
+
+
+def sequential_apply(p, v):
+    """The zeta mode products summed by sequential rounded additions."""
+    acc = RoundedSum(RoundSpec(p.spec.rel_tol))
+    for e in p.exps:
+        acc.add(mode_multiply(v, e))
+    return tt_round(acc.combine(p.alpha), p.spec)
+
+
+def rel_gap(a, b):
+    return tt_norm(tt_add(a, tt_scale(b, -1.0))) / tt_norm(b)
+
+
+def same_cores(a, b):
+    return a.ranks == b.ranks and all(np.array_equal(x, y) for x, y in zip(a.cores, b.cores))
+
+
+MARKOV4 = ttk.markov_factor_matrices(ttk.MarkovSpec(d=4, n=20, seed=0))
+
+
+class TestStreamedApply:
+    def test_dense_oracle(self):
+        # the sums have rank 18-19 at the middle mode (full rank 36): the
+        # second frame (rank 32) recovers them, not exactly
+        factors = ttk.cd_factor_matrices(ttk.ConvectionDiffusionSpec(d=4, n=6))
+        p = ExpSumPreconditioner.from_kron_sum(factors, 9, RoundSpec(1e-6), stream_seed=3)
+        for seed in (12, 13):
+            v = tt_random(p.dims, [4, 4, 4], seed=seed)
+            want = dense_apply(p, v)
+            got = p.apply_inverse(v)
+            assert 16 < got.ranks[2] < 32
+            assert np.linalg.norm(tt_to_dense(got) - want) <= 1e-6 * np.linalg.norm(want)
+
+    def test_growth_meets_rel_tol_against_sequential_sum(self):
+        # a random rank-10 input gives a sum of rank 34 at the middle mode,
+        # beyond the first frame's 16
+        p = ExpSumPreconditioner.from_kron_sum(MARKOV4, 9, RoundSpec(3e-7), stream_seed=7)
+        v = tt_random(p.dims, [10, 10, 10], seed=1)
+        got = p.apply_inverse(v)
+        assert max(got.ranks) > 16
+        assert rel_gap(got, sequential_apply(p, v)) <= 3e-7
+
+    def test_deterministic(self):
+        p = ExpSumPreconditioner.from_kron_sum(MARKOV4, 9, RoundSpec(3e-7), stream_seed=7)
+        q = ExpSumPreconditioner(MARKOV4, p.alpha, p.beta, p.spec, stream_seed=7)
+        small = tt_random(p.dims, [2, 2, 2], seed=2)
+        first = p.apply_inverse(small)
+        assert same_cores(first, p.apply_inverse(small))
+        # an apply that climbs the ladder does not change later applies
+        p.apply_inverse(tt_random(p.dims, [10, 10, 10], seed=1))
+        assert same_cores(first, p.apply_inverse(small))
+        assert same_cores(first, q.apply_inverse(small))
+        other = ExpSumPreconditioner(MARKOV4, p.alpha, p.beta, p.spec, stream_seed=8)
+        assert not same_cores(first, other.apply_inverse(small))
+
+    def test_max_rank_caps_without_growth(self, monkeypatch):
+        rungs = []
+        rung = FrameLadder.rung
+        monkeypatch.setattr(FrameLadder, "rung", lambda self, i: rungs.append(i) or rung(self, i))
+        p = ExpSumPreconditioner.from_kron_sum(MARKOV4, 9, RoundSpec(3e-7), stream_seed=7)
+        capped = ExpSumPreconditioner(MARKOV4, p.alpha, p.beta, RoundSpec(3e-7, 3),
+                                      stream_seed=7)
+        v = tt_random(p.dims, [1, 1, 1], seed=4)
+        full = p.apply_inverse(v)
+        assert 3 < max(full.ranks) <= 12
+        rungs.clear()
+        got = capped.apply_inverse(v)
+        assert max(got.ranks) == 3
+        assert rungs == [0]
+        assert same_cores(got, tt_round(full, capped.spec))
+
+    def test_stream_seed_defaults_to_zero(self):
+        p = ExpSumPreconditioner([laplacian(3)] * 2, [1.0], [0.5], RoundSpec(1e-8))
+        assert p.stream_seed == 0
+
+    def test_bad_stream_seed(self):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            ExpSumPreconditioner([laplacian(3)] * 2, [1.0], [0.5], RoundSpec(1e-8), stream_seed=-1)
