@@ -10,7 +10,9 @@ geometric ladders.  For each ladder the best nonnegative weights on a grid
 come from a discrete linear Remez exchange (``_exchange_weights``); a linear
 program (``_minimax_weights``) settles only the ladders the exchange cannot:
 those with a negative weight that a lower bound does not rule out, and
-those where rounding stops the exchange.
+those where rounding stops the exchange.  The search does no work that
+cannot change its result: a ladder's exchange stops as soon as its lower
+bound loses to the best ladder so far, and no ladder is scored twice.
 """
 
 from __future__ import annotations
@@ -58,6 +60,17 @@ def _scaled_basis(z, beta):
     return basis / scale, scale
 
 
+def _ladder(u, v, lo, hi, zeta):
+    """The nodes of the window (u, v) on [lo, hi]: zeta geometric points
+    from e^u/hi to e^v/lo, or None if the window is empty."""
+    bmin, bmax = np.exp(u) / hi, np.exp(v) / lo
+    if bmax <= bmin:
+        return None
+    if zeta == 1:
+        return np.array([np.sqrt(bmin * bmax)])
+    return np.geomspace(bmin, bmax, zeta)
+
+
 def _minimax_weights(bs):
     """Best nonnegative weights for the scaled basis ``bs`` by a linear
     program: minimise t subject to |bs @ a - 1| <= t, a >= 0.
@@ -90,7 +103,7 @@ def _minimax_weights(bs):
     return res.x[:m], float(res.x[m])
 
 
-def _exchange_weights(bs):
+def _exchange_weights(bs, best=np.inf):
     """Unconstrained minimax weights for the scaled basis ``bs`` by a
     discrete linear Remez (Stiefel single-point) exchange.
 
@@ -107,7 +120,9 @@ def _exchange_weights(bs):
     the largest such lower bound met, with err <= bound * (1 +
     _EXCHANGE_TOL).  If a reference is singular or rounding stops the
     exchange first, a and err are None; bound is still the largest lower
-    bound met (0 if none).
+    bound met (0 if none).  The exchange also stops, with a and err None,
+    as soon as bound reaches ``best``: no fit for these nodes, the
+    exchange's own included, can then beat ``best``.
     """
     npts, m = bs.shape
     # start from m+1 points where the basis and the constant are well
@@ -134,6 +149,8 @@ def _exchange_weights(bs):
         sgn = np.sign(err[ref])
         if np.all(sgn[1:] == -sgn[:-1]):
             bound = max(bound, float(np.min(np.abs(err[ref]))))
+            if bound >= best:
+                return None, None, bound
         i = int(np.argmax(np.abs(err)))
         if abs(err[i]) <= bound * (1.0 + _EXCHANGE_TOL):
             return a, float(abs(err[i])), bound
@@ -163,7 +180,7 @@ def _window_weights(bs, best):
     (negative weights, or an exchange stopped by rounding) solves the
     linear program.
     """
-    a, err, bound = _exchange_weights(bs)
+    a, err, bound = _exchange_weights(bs, best)
     if a is not None and np.all(a >= 0):
         return a, err
     if bound >= best:
@@ -180,8 +197,10 @@ def expsum_coeffs(lambda_min: float, lambda_max: float, zeta: int):
     compass moves of halving size.  For each window the weights alpha_j are
     the minimax-optimal nonnegative ones for those nodes on max(1200,
     20*zeta) log-spaced points (``_window_weights``: a Remez exchange, or a
-    linear program where the exchange cannot settle it); a window that a
-    lower bound shows cannot beat the best so far is skipped.  This lands
+    linear program where the exchange cannot settle it).  A window's
+    exchange stops as soon as its lower bound shows that the window cannot
+    beat the best so far, and a window this call has scored before is
+    skipped; neither changes a decision of the search.  This lands
     close to the best attainable exponential sum.  Falls back to the raw
     trapezoid weights h*exp(s_j) if the linear program fails.
 
@@ -210,16 +229,15 @@ def expsum_coeffs(lambda_min: float, lambda_max: float, zeta: int):
         lo, hi = lo * (1.0 - 1e-9), hi * (1.0 + 1e-9)
     z = np.logspace(np.log10(lo), np.log10(hi), max(1200, 20 * zeta))
 
-    def ladder(u, v):
-        bmin, bmax = np.exp(u) / hi, np.exp(v) / lo
-        if bmax <= bmin:
-            return None
-        if zeta == 1:
-            return np.array([np.sqrt(bmin * bmax)])
-        return np.geomspace(bmin, bmax, zeta)
+    # a window scored before lost then or is the best so far, and best
+    # only falls, so it cannot win now; compass moves often step back
+    scored = set()
 
     def score(u, v, best_sig):
-        beta = ladder(u, v)
+        if (u, v) in scored:
+            return None, None, np.inf
+        scored.add((u, v))
+        beta = _ladder(u, v, lo, hi, zeta)
         if beta is None:
             return None, None, np.inf
         bs, scale = _scaled_basis(z, beta)
@@ -260,12 +278,13 @@ def expsum_coeffs(lambda_min: float, lambda_max: float, zeta: int):
 
 
 def spectral_interval(factors):
-    """Estimate [lambda_min, lambda_max] for the symmetric part of a
-    Kronecker sum of the given factors.
+    """[lambda_min, lambda_max] for the symmetric part of a Kronecker sum of
+    the given factors: exact lambda_min, Gershgorin lambda_max.
 
-    lambda_max sums per-factor Gershgorin upper bounds; lambda_min sums
-    per-factor smallest-eigenvalue estimates from power iteration on the
-    shifted symmetric part, floored at 1e-8 * lambda_max.
+    lambda_min sums the smallest eigenvalue of each factor's symmetric part
+    (``np.linalg.eigvalsh``), floored at 1e-8 * lambda_max; lambda_max sums
+    per-factor Gershgorin upper bounds.  The eigenvalues of a non-normal
+    factor's symmetric part do not alone bound the fit's error on it.
     """
     mats = [np.asarray(f, dtype=np.float64) for f in factors]
     for i, f in enumerate(mats):
@@ -278,38 +297,10 @@ def spectral_interval(factors):
     for f in mats:
         sym = 0.5 * (f + f.T)
         radii = np.sum(np.abs(sym), axis=1) - np.abs(np.diag(sym))
-        hi = float(np.max(np.diag(sym) + radii))
-        hi_total += hi
-        lo_total += _smallest_eig_estimate(sym, hi)
+        hi_total += float(np.max(np.diag(sym) + radii))
+        lo_total += float(np.linalg.eigvalsh(sym)[0])
     lo_total = max(lo_total, 1e-8 * hi_total)
     return lo_total, hi_total
-
-
-def _smallest_eig_estimate(sym, shift):
-    """Power iteration on shift*I - sym; returns a lower estimate of the
-    smallest eigenvalue of sym (Rayleigh quotient minus residual)."""
-    n = sym.shape[0]
-    if n == 1:
-        return float(sym[0, 0])
-    v = np.ones(n) + 1e-3 * np.cos(np.arange(n))
-    v /= np.linalg.norm(v)
-    rho_prev = np.inf
-    rho = 0.0
-    for it in range(20 * n + 200):
-        w = shift * v - sym @ v
-        nw = np.linalg.norm(w)
-        if nw == 0:
-            # sym == shift*I exactly
-            return float(shift)
-        v = w / nw
-        if it % 8 == 0:
-            rho = float(v @ (sym @ v))
-            if abs(rho - rho_prev) <= 1e-12 * max(abs(shift), 1.0):
-                break
-            rho_prev = rho
-    rho = float(v @ (sym @ v))
-    res = float(np.linalg.norm(sym @ v - rho * v))
-    return max(rho - res, 0.0)
 
 
 class ExpSumPreconditioner:

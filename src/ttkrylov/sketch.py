@@ -72,13 +72,3 @@ def kr_apply(s: KhatriRaoSketch, v: TTVector) -> np.ndarray:
         state = nxt
     return state[:, 0]
 
-
-def kr_dense_matrix(s: KhatriRaoSketch, max_entries: int = 1_000_000) -> np.ndarray:
-    """Materialize the full s x prod(n_k) sketch matrix (small cases only)."""
-    total = s.rows * int(np.prod(s.dims, dtype=np.int64))
-    if total > max_entries:
-        raise ValueError(f"dense sketch would have {total} entries")
-    out = np.ones((s.rows, 1))
-    for f in s.factors:
-        out = np.einsum("si,sj->sij", out, f).reshape(s.rows, -1)
-    return out

@@ -88,6 +88,10 @@ def window_basis(lo, hi, zeta, u, v):
     return _scaled_basis(fit_grid(lo, hi, zeta), beta)[0]
 
 
+MARKOV4 = ttk.markov_factor_matrices(ttk.MarkovSpec(d=4, n=20, seed=0))
+CD4 = ttk.cd_factor_matrices(ttk.ConvectionDiffusionSpec(d=4, n=34))
+
+
 def laplacian(n):
     t = -2.0 * np.eye(n) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
     return -t  # positive definite orientation
@@ -233,6 +237,13 @@ class TestExchange:
         assert _window_weights(bs, bound) is None
         assert len(lp_calls) == 1
 
+    def test_stops_once_bound_reaches_best(self):
+        bs = window_basis(2.85e-7, 28.5, 9, 0.0, 0.5)
+        _, _, bound = _exchange_weights(bs)
+        a, err, stop = _exchange_weights(bs, 0.5 * bound)
+        assert a is None and err is None
+        assert 0.5 * bound <= stop <= bound
+
     def test_singular_reference_falls_back_to_lp(self, lp_calls):
         # a repeated node: every reference matrix is singular
         bs = _scaled_basis(fit_grid(0.2, 30.0, 4), np.array([0.05, 0.05, 0.5, 2.0]))[0]
@@ -243,10 +254,57 @@ class TestExchange:
         assert np.all(w >= 0) and np.isfinite(sig)
 
 
+class TestPruning:
+    """The fit skips work that cannot change its result, and no decision."""
+
+    @pytest.mark.parametrize(
+        "lo, hi, zeta",
+        [
+            (*spectral_interval(MARKOV4), 9),
+            (*spectral_interval(CD4), 9),
+            (0.2, 30.0, 9),
+            (0.5, 60.0, 12),
+        ],
+        ids=["markov4", "cd4", "0.2-30", "0.5-60"],
+    )
+    def test_same_fit_as_unpruned(self, lo, hi, zeta, lp_calls, monkeypatch):
+        exchange = precond._exchange_weights
+        stops = []
+
+        def pruned_exchange(bs, best=np.inf):
+            a, err, bound = exchange(bs, best)
+            stops.append(a is None and bound >= best)
+            return a, err, bound
+
+        monkeypatch.setattr(precond, "_exchange_weights", pruned_exchange)
+        pruned = expsum_coeffs(lo, hi, zeta)
+        pruned_lps = len(lp_calls)
+        assert any(stops)
+        monkeypatch.setattr(precond, "_exchange_weights", lambda bs, best=np.inf: exchange(bs))
+        unpruned = expsum_coeffs(lo, hi, zeta)
+        assert len(lp_calls) == 2 * pruned_lps
+        assert np.array_equal(pruned[0], unpruned[0])
+        assert np.array_equal(pruned[1], unpruned[1])
+        assert pruned[2] == unpruned[2]
+
+    def test_each_window_scored_once(self, monkeypatch):
+        windows = []
+        ladder = precond._ladder
+        monkeypatch.setattr(precond, "_ladder",
+                            lambda u, v, *rest: windows.append((u, v)) or ladder(u, v, *rest))
+        expsum_coeffs(*spectral_interval(MARKOV4), 9)
+        assert len(windows) > 36  # the 6 x 6 scan, then compass moves
+        assert len(set(windows)) == len(windows)
+
+
+def smallest_sym_eig(f):
+    return np.linalg.eigvalsh(0.5 * (f + f.T))[0]
+
+
 class TestSpectralInterval:
     def test_identity_factors(self):
         lo, hi = spectral_interval([np.eye(4)] * 3)
-        assert np.isclose(lo, 3.0, rtol=1e-6)
+        assert lo == pytest.approx(3.0, rel=1e-12)
         assert np.isclose(hi, 3.0, rtol=1e-12)
 
     def test_diagonal_d1(self):
@@ -265,8 +323,21 @@ class TestSpectralInterval:
         lo, hi = spectral_interval(factors)
         eigs = np.linalg.eigvalsh(laplacian(8))
         true_lo, true_hi = 3 * eigs.min(), 3 * eigs.max()
-        assert lo <= true_lo + 1e-9
+        assert lo == pytest.approx(true_lo, rel=1e-12)
         assert hi >= true_hi - 1e-9
+
+    def test_exact_lambda_min(self):
+        rng = np.random.default_rng(3)
+        factors = [laplacian(n) + 2.0 * np.eye(n) + 0.3 * rng.standard_normal((n, n))
+                   for n in (3, 5, 7)]
+        lo, _ = spectral_interval(factors)
+        assert lo == pytest.approx(sum(smallest_sym_eig(f) for f in factors), rel=1e-12)
+
+    def test_markov4_floor(self):
+        # the walk generators' symmetric parts sum to an indefinite matrix,
+        # so the floor 1e-8 * lambda_max decides lambda_min
+        assert sum(smallest_sym_eig(f) for f in MARKOV4) < 0
+        assert spectral_interval(MARKOV4) == (2.8531392796577946e-07, 28.531392796577947)
 
 
 class TestModeMultiply:
@@ -366,9 +437,6 @@ def rel_gap(a, b):
 
 def same_cores(a, b):
     return a.ranks == b.ranks and all(np.array_equal(x, y) for x, y in zip(a.cores, b.cores))
-
-
-MARKOV4 = ttk.markov_factor_matrices(ttk.MarkovSpec(d=4, n=20, seed=0))
 
 
 class TestStreamedApply:

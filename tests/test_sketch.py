@@ -4,7 +4,6 @@ import pytest
 from ttkrylov.sketch import (
     KhatriRaoSketch,
     kr_apply,
-    kr_dense_matrix,
     kr_sketch_new,
 )
 from ttkrylov.tt import (
@@ -51,6 +50,15 @@ class TestConstruction:
     def test_mismatched_rows_rejected(self):
         with pytest.raises(ShapeMismatch):
             KhatriRaoSketch([np.zeros((3, 2)), np.zeros((4, 2))])
+
+
+def kr_dense_matrix(s):
+    """The full rows x prod(n_k) sketch matrix: row j is the Kronecker
+    product of row j of each factor."""
+    out = np.ones((s.rows, 1))
+    for f in s.factors:
+        out = np.einsum("si,sj->sij", out, f).reshape(s.rows, -1)
+    return out
 
 
 class TestApply:
