@@ -33,7 +33,7 @@ from ttkrylov.tt import (
     tt_to_dense,
     tt_zero,
 )
-from ttkrylov.tt import _truncation_rank
+from ttkrylov.tt import _right_factors, _truncation_rank
 
 
 def dense_kron_sum(factors):
@@ -165,7 +165,48 @@ class TestScale:
         assert tt_scale(a, -2.5).ranks == a.ranks
 
 
+def _reference_dot(a, b):
+    # the tensordot chain, with the power-of-two fallback of tt_dot
+    def chain(scaled):
+        m, exp = np.ones((1, 1)), 0
+        for ca, cb in zip(a.cores, b.cores):
+            if scaled:
+                exps = [np.frexp(np.max(np.abs(x), initial=0.0))[1] for x in (ca, cb, m)]
+                ca, cb, m = (np.ldexp(x, -e) for x, e in zip((ca, cb, m), exps))
+                exp += sum(exps)
+            tmp = np.tensordot(m, ca, axes=([0], [0]))  # (rb, n, ra')
+            m = np.tensordot(tmp, cb, axes=([0, 1], [0, 1]))  # (ra', rb')
+        return float(np.ldexp(m[0, 0], exp))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = chain(scaled=False)
+    return out if np.isfinite(out) else chain(scaled=True)
+
+
+def _dot_cases():
+    # the operand pairs of the TestDotNorm cases below
+    ones = tt_rank_one([np.ones(2)] * 3)
+    cases = [("all-ones", ones, ones)]
+    cases += [(f"self-{s}", a, a) for s, a in ((s, tt_random([4, 3, 4], [3, 3], seed=s)) for s in range(5))]
+    cases.append(("pair", tt_random([5, 5, 5], [3, 3], seed=8), tt_random([5, 5, 5], [2, 4], seed=9)))
+    cases += [(f"self-{s}", a, a) for s, a in ((s, tt_random([4, 4, 4], [3, 3], seed=s)) for s in range(20, 25))]
+    big = tt_rank_one([np.full(4, 1e200), np.full(4, 1e200), np.full(4, 1e-300)])
+    unit = tt_rank_one([np.ones(4)] * 3)
+    cases += [("partial-overflow", big, unit), ("partial-overflow-swapped", unit, big)]
+    cases.append(("core-overflow", tt_rank_one([np.full(3, 1e300), np.full(3, 1e-300)]),
+                  tt_rank_one([np.full(3, 1e100), np.full(3, 1e-100)])))
+    a, b = tt_random([4, 5, 4], [3, 2], seed=14), tt_random([4, 5, 4], [2, 3], seed=15)
+    cases += [("pow2", a, b), ("pow2-scaled", tt_scale(a, 2.0**700), tt_scale(b, 2.0**300))]
+    return cases
+
+
 class TestDotNorm:
+    @pytest.mark.parametrize("case", _dot_cases(), ids=lambda c: c[0])
+    def test_matches_tensordot_reference(self, case):
+        _, a, b = case
+        want = _reference_dot(a, b)
+        assert abs(tt_dot(a, b) - want) <= 1e-14 * abs(want)
+
     def test_all_ones(self):
         a = tt_rank_one([np.ones(2)] * 3)
         assert tt_dot(a, a) == pytest.approx(8.0)
@@ -360,14 +401,32 @@ def _left_orthonormality_gap(v):
     return gap
 
 
+def _dependent_cases():
+    # rank-r representations of tensors of smaller exact rank: a doubled
+    # tensor, A v - c v for a Kronecker sum A (whose identity channel puts v
+    # inside A v), and a tensor with zero-padded ranks
+    dims = [8, 7, 6, 9]
+    v = tt_random(dims, [2, 3, 2], seed=60)
+    rng = np.random.default_rng(61)
+    av = tt_matvec(kron_sum_operator([rng.standard_normal((n, n)) for n in dims]), v)
+    c = tt_dot(av, v) / tt_dot(v, v)
+    padded = [np.pad(core, ((0, k > 0), (0, 0), (0, k < len(dims) - 1))) for k, core in enumerate(v.cores)]
+    return [
+        ("doubled", tt_add(v, v)),
+        ("kron-sum", tt_add(av, tt_scale(v, -c))),
+        ("zero-padded", TTVector(padded)),
+    ]
+
+
 def _round_cases():
     # (name, tensor, spec): generic sums, d=2, wide cores, binding caps,
-    # near-cancelling sums
+    # near-cancelling sums, exactly dependent directions
     a = tt_random([4, 5, 4, 3], [3, 4, 3], seed=40)
     b = tt_random([4, 5, 4, 3], [2, 3, 2], seed=41)
     wide = TTVector([np.ones((1, 1, 6)), np.random.default_rng(42).standard_normal((6, 2, 1))])
     wide_mid = tt_add(tt_random([3, 2, 2, 3], [3, 2, 3], seed=43), tt_random([3, 2, 2, 3], [3, 4, 3], seed=44))
     c = tt_random([5, 4, 5], [3, 3], seed=45)
+    doubled, kron_sum, padded = (v for _, v in _dependent_cases())
     return [
         ("sum", tt_add(a, tt_scale(b, 0.7)), RoundSpec(1e-6)),
         ("sum-loose", tt_add(a, tt_scale(b, 0.01)), RoundSpec(1e-2)),
@@ -376,6 +435,9 @@ def _round_cases():
         ("wide-mid", wide_mid, RoundSpec(1e-8)),
         ("cap", tt_add(a, b), RoundSpec(1e-10, max_rank=2)),
         ("cancel", tt_add(c, tt_scale(c, -(1 - 1e-9))), RoundSpec(1e-5)),
+        ("doubled", doubled, RoundSpec(1e-12)),
+        ("kron-sum", kron_sum, RoundSpec(1e-12)),
+        ("zero-padded", padded, RoundSpec(1e-6)),
     ]
 
 
@@ -406,6 +468,41 @@ class TestRoundAgainstReference:
         assert np.linalg.norm(tt_to_dense(r) - dense) <= rel_tol * nrm + 1e-12 * nrm
         assert _left_orthonormality_gap(r) <= 1e-12
         assert np.linalg.norm(r.cores[-1]) == pytest.approx(np.linalg.norm(tt_to_dense(r)), rel=1e-12)
+
+
+def _unfolding_ranks(dense):
+    return [
+        int(np.linalg.matrix_rank(dense.reshape(int(np.prod(dense.shape[:k])), -1)))
+        for k in range(1, dense.ndim)
+    ]
+
+
+class TestDependentDirections:
+    @pytest.mark.parametrize("case", _dependent_cases(), ids=lambda c: c[0])
+    def test_sweep_keeps_numerical_rank(self, case):
+        _, v = case
+        widths = [f.shape[1] for f in _right_factors(v.cores)[1:-1]]
+        assert widths == _unfolding_ranks(tt_to_dense(v))
+        assert all(w < r for w, r in zip(widths, v.ranks[1:-1]))
+
+    @pytest.mark.parametrize("case", _dependent_cases(), ids=lambda c: c[0])
+    def test_norm_matches_dense(self, case):
+        _, v = case
+        want = np.linalg.norm(tt_to_dense(v))
+        assert abs(tt_norm(v) - want) <= 1e-14 * want
+
+    def test_planted_component_survives(self):
+        # the doubled tensor loses its duplicate directions; a component of
+        # relative size 1e-10 is no roundoff and keeps its ranks and digits
+        dims = [8, 7, 6, 9]
+        a, c = tt_random(dims, [2, 3, 2], seed=62), tt_random(dims, [1, 2, 1], seed=63)
+        planted = tt_scale(c, 1e-10 * tt_norm(a) / tt_norm(c))
+        v = tt_add(tt_add(a, a), planted)
+        r = tt_round(v, RoundSpec(0))
+        assert r.ranks == tt_add(a, c).ranks
+        got = tt_to_dense(r) - 2 * tt_to_dense(a)
+        want = tt_to_dense(planted)
+        assert np.linalg.norm(got - want) <= 1e-4 * np.linalg.norm(want)
 
 
 def _two_rank_one_terms(d, entry):
