@@ -25,7 +25,7 @@ from scipy.optimize import linprog
 
 from .streaming import AdaptiveStreamedSum, FrameLadder
 # mode_multiply lives in tt; it stays importable from here, where it was
-from .tt import RoundSpec, ShapeMismatch, TTVector, mode_multiply  # noqa: F401
+from .tt import RoundSpec, ShapeMismatch, TTVector, check_finite, mode_multiply  # noqa: F401
 
 _EVAL_POINTS = 1000
 # the exchange stops when its grid error is within a factor 1 + _EXCHANGE_TOL
@@ -328,6 +328,8 @@ class ExpSumPreconditioner:
         self.beta = np.asarray(beta, dtype=np.float64)
         if self.alpha.shape != self.beta.shape or self.alpha.ndim != 1:
             raise ValueError("alpha and beta must be equal-length vectors")
+        if not (np.all(np.isfinite(self.alpha)) and np.all(np.isfinite(self.beta))):
+            raise ValueError("alpha and beta coefficients must be finite")
         if np.any(self.beta < 0):
             raise ValueError("beta coefficients must be nonnegative")
         self.spec = spec
@@ -359,6 +361,7 @@ class ExpSumPreconditioner:
 
     def apply_inverse(self, v: TTVector) -> TTVector:
         """Apply the approximate inverse of the Kronecker sum to v."""
+        check_finite(v)
         if v.dims != self.dims:
             raise ShapeMismatch(f"vector dims {v.dims} do not match {self.dims}")
         acc = AdaptiveStreamedSum(FrameLadder(self.dims, seed=self.stream_seed), self.spec)

@@ -3,7 +3,7 @@
 Four variants run one driver loop (``_krylov``) and share one report format:
 
 * ``tt_gmres``          -- full orthogonalization, relaxed rounding,
-                           Hessenberg least squares (Givens updated).
+                           least squares on the Hessenberg matrix.
 * ``tt_sgmres_vanilla`` -- incomplete orthogonalization + sketched least
                            squares; final solution by sequential rounded
                            additions over the stored basis (kept for the
@@ -29,8 +29,11 @@ z_k, and A z_k passes through three parts:
   assembly's own pairs when z_k is v_k.  The frame's recovery ranks then
   cap every basis vector; the report warns, once, when a vector reaches
   the cap at a mode where it is below the full rank.
-* least squares: ``_HessenbergLsq`` (Givens-updated QR of the Hessenberg
-  matrix) or ``_SketchedLsq`` (SVD least squares on the sketched basis).
+* least squares: one problem, min_y ||M y - rhs||, solved by SVD
+  (``sketched_lsq``) in ``_LeastSquares``.  ``tt_gmres`` fits the Hessenberg
+  matrix H to beta e_1, the coordinates of A V in the orthonormal basis; the
+  sketched variants fit the sketched images S A Z to S r0 (Nakatsukasa and
+  Tropp, arXiv:2111.00113).
 * assembly: one of the rounding layer's rounded linear combinations of TT
   vectors, started at x0 (the preconditioner's apply uses the third,
   ``AdaptiveStreamedSum``).  Every solution and every
@@ -42,10 +45,12 @@ z_k, and A z_k passes through three parts:
 
 A lucky breakdown ends the run as converged: the orthogonalized vector
 vanishes next to ||A v||, which is taken from the Hessenberg column as
-sqrt(sum_i h_ik^2 + h_new^2) (the window vectors are orthonormal).  The
-sketched variants also stop, unconverged, at a numerical breakdown: when the
-newest column of the sketched basis lies in the span of the earlier ones to
-within the least-squares cutoff, the Krylov space has stopped growing.
+sqrt(sum_i h_ik^2 + h_new^2) (the window vectors are orthonormal).  Every
+variant also stops, unconverged, at a numerical breakdown: when the newest
+column of M lies in the span of the earlier ones to within the least-squares
+cutoff, the Krylov space has stopped growing.  On Hessenberg columns that
+means the orthogonalized vector kept about 1e-12 of ||A v|| or less, so a
+new basis vector would be rounding noise.
 """
 
 from __future__ import annotations
@@ -224,80 +229,41 @@ def _is_zero(v: TTVector | None) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# least squares: update(column) -> (residual, stalled); coefficients() -> y
+# least squares
 
 
-class _HessenbergLsq:
-    """min_y ||beta e_1 - H y||, H rotated to triangular by Givens as it grows."""
+class _LeastSquares:
+    """min_y ||M y - rhs|| over the columns of M fed so far, by ``sketched_lsq``.
 
-    def __init__(self, maxit, beta, nb):
-        self.h = np.zeros((maxit + 1, maxit))
-        self.cos = np.zeros(maxit)
-        self.sin = np.zeros(maxit)
-        self.g = np.zeros(maxit + 1)
-        self.g[0] = beta
-        self.scale = nb  # residuals are relative to ||b||
+    ``tt_gmres`` feeds the Hessenberg columns (rhs beta e_1, residuals
+    relative to ||b||); the sketched variants feed the sketches S A z_k (rhs
+    S r0, residuals relative to ||S b||).  A Hessenberg column is one entry
+    longer than the last, so only the rows the columns have reached enter
+    the fit.
+    """
+
+    def __init__(self, rhs, scale, maxit, warnings):
+        self.m = np.zeros((len(rhs), maxit))
+        self.rhs, self.scale, self.warnings = rhs, scale, warnings
         self.k = 0
 
-    def image(self, w):
-        """A v itself is not needed: H holds its coefficients."""
-
     def update(self, col):
-        k = self.k = len(col) - 1
-        kk = k - 1
-        h, cos, sin, g = self.h, self.cos, self.sin, self.g
-        h[: k + 1, kk] = col
-        for i in range(kk):
-            tmp = cos[i] * h[i, kk] + sin[i] * h[i + 1, kk]
-            h[i + 1, kk] = -sin[i] * h[i, kk] + cos[i] * h[i + 1, kk]
-            h[i, kk] = tmp
-        denom = np.hypot(h[kk, kk], h[k, kk])
-        cos[kk] = h[kk, kk] / denom if denom else 1.0
-        sin[kk] = h[k, kk] / denom if denom else 0.0
-        h[kk, kk] = denom
-        h[k, kk] = 0.0
-        g[k] = -sin[kk] * g[kk]
-        g[kk] = cos[kk] * g[kk]
-        return abs(g[k]), False
-
-    def coefficients(self):
-        # back substitution on the rotated system
-        k, h = self.k, self.h
-        y = np.zeros(k)
-        for i in range(k - 1, -1, -1):
-            y[i] = (self.g[i] - h[i, i + 1 : k] @ y[i + 1 :]) / h[i, i]
-        return y
-
-
-class _SketchedLsq:
-    """min_y ||S A V y - S r0|| on the sketched basis; residuals relative to ||S b||."""
-
-    def __init__(self, sketch, b, r0, timer, warnings):
-        self.sketch, self.timer, self.warnings = sketch, timer, warnings
-        self.scale = float(np.linalg.norm(timer.timed("sketch", kr_apply, sketch, b)))
-        self.rhs = timer.timed("sketch", kr_apply, sketch, r0)
-        self.cols = []
-
-    def image(self, w):
-        self.cols.append(self.timer.timed("sketch", kr_apply, self.sketch, w))
-
-    def update(self, col):
-        m = np.stack(self.cols, axis=1)
-        self.y, res, sv = sketched_lsq(m, self.rhs)
+        """Append a column and solve; return (residual, stalled)."""
+        self.m[: len(col), self.k] = col
+        self.k += 1
+        m = self.m[: len(col), : self.k]
+        self.y, res, sv = sketched_lsq(m, self.rhs[: len(col)])
         # a column the least squares cannot resolve from the earlier ones
-        # means the truncated recurrence has stopped adding directions;
-        # past it the fit only absorbs rounding noise
-        stalled = m.shape[1] > 1 and (
+        # means the recurrence has stopped adding directions; past it the
+        # fit only absorbs rounding noise
+        stalled = self.k > 1 and (
             sketched_lsq(m[:, :-1], m[:, -1])[1] <= _LSQ_RCOND * np.linalg.norm(m[:, -1])
         )
         if sv[-1] < _CONDITION_WATERMARK * sv[0] and not any(
             w.endswith(_RANK_DEFICIENT) for w in self.warnings
         ):
-            self.warnings.append(f"iteration {m.shape[1]}: {_RANK_DEFICIENT}")
+            self.warnings.append(f"iteration {self.k}: {_RANK_DEFICIENT}")
         return res, stalled
-
-    def coefficients(self):
-        return self.y
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +296,12 @@ def _krylov(a, b, x0, cfg: SolverConfig, sketch=None, frame=None, precond=None):
         return (tt_zero(b.dims) if nb == 0 else x0.copy()), report
     relaxed = sketch is None
     if relaxed:
-        lsq = _HessenbergLsq(cfg.maxit, beta, nb)
+        rhs, scale = np.zeros(cfg.maxit + 1), nb
+        rhs[0] = beta
     else:
-        lsq = _SketchedLsq(sketch, b, r0, timer, report.warnings)
+        scale = float(np.linalg.norm(timer.timed("sketch", kr_apply, sketch, b)))
+        rhs = timer.timed("sketch", kr_apply, sketch, r0)
+    lsq = _LeastSquares(rhs, scale, cfg.maxit, report.warnings)
     if frame is None:
         assembly = RoundedSum(RoundSpec(cfg.tol), start=x0)
         keep = assembly.add
@@ -365,7 +334,8 @@ def _krylov(a, b, x0, cfg: SolverConfig, sketch=None, frame=None, precond=None):
         if stta:  # without P^{-1}, z is v and its pair is kept already
             pairs[i] = kept if z is v else timer.timed("sketch", stream_sketch, v, frame)
         w = timer.timed("matvec", tt_matvec, a, z)
-        lsq.image(w)
+        if not relaxed:  # the sketched least squares fits S A z, not col
+            sw = timer.timed("sketch", kr_apply, sketch, w)
         # orthogonalize and round; w is rebound at every step so that no
         # earlier, larger version of it stays alive
         if relaxed:  # eta_k = tol / rel_res_{k-1}, clamped to [1e-14, 1]
@@ -403,12 +373,12 @@ def _krylov(a, b, x0, cfg: SolverConfig, sketch=None, frame=None, precond=None):
         if len(window) > window_size:
             pairs.pop(window.pop(0)[0], None)
 
-        res, stalled = timer.timed("lsq", lsq.update, col)
+        res, stalled = timer.timed("lsq", lsq.update, col if relaxed else sw)
         rel_res = max(res / lsq.scale, 1e-300)
         report.res_sketched.append(rel_res)
         report.basis_rank.append(max(window[-1][1].ranks))
         if cfg.track_true_residual:
-            x = timer.timed("recovery", assembly.combine, lsq.coefficients())
+            x = timer.timed("recovery", assembly.combine, lsq.y)
             report.res_true.append(true_residual(a, b, x))
         timer.flush()
         hit = res <= lsq.scale * cfg.tol
@@ -418,7 +388,7 @@ def _krylov(a, b, x0, cfg: SolverConfig, sketch=None, frame=None, precond=None):
                 report.warnings.append(f"iteration {k}: sketched basis stopped growing")
             break
 
-    x = timer.timed("recovery", assembly.combine, lsq.coefficients())
+    x = timer.timed("recovery", assembly.combine, lsq.y)
     timer.flush(fold=True)
     report.converged = converged
     report.iterations = k
@@ -435,8 +405,8 @@ def tt_gmres(a: TTOperator, b: TTVector, x0: TTVector | None, cfg: SolverConfig)
 
     Matvec results and Gram-Schmidt updates are rounded at eta_k * tol
     with the relaxation eta_k = tol / rel_res_{k-1} (clamped to
-    [1e-14, 1]); y_k comes from the Givens-updated QR of the Hessenberg
-    matrix; the solution is accumulated by sequential rounded additions.
+    [1e-14, 1]); y_k is the SVD least-squares fit of the Hessenberg matrix
+    to beta e_1; the solution is accumulated by sequential rounded additions.
     """
     return _krylov(a, b, x0, cfg)
 

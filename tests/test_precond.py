@@ -16,6 +16,7 @@ from ttkrylov.precond import (
 )
 from ttkrylov.streaming import FrameLadder
 from ttkrylov.tt import (
+    NonFiniteCore,
     RoundedSum,
     RoundSpec,
     ShapeMismatch,
@@ -409,6 +410,18 @@ class TestPreconditioner:
         p = ExpSumPreconditioner([np.eye(3)], [1.0], [1.0], RoundSpec(0.0))
         with pytest.raises(ShapeMismatch):
             p.apply_inverse(tt_random([4], [], seed=11))
+
+    def test_non_finite_input_rejected(self):
+        p = ExpSumPreconditioner([laplacian(3)] * 2, [1.0], [1.0], RoundSpec(1e-8))
+        v = tt_random([3, 3], [2], seed=12)
+        v.cores[1][0, 0, 0] = np.inf
+        with pytest.raises(NonFiniteCore):
+            p.apply_inverse(v)
+
+    @pytest.mark.parametrize("alpha,beta", [([np.nan], [1.0]), ([1.0], [np.inf])])
+    def test_non_finite_coefficients_rejected(self, alpha, beta):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            ExpSumPreconditioner([laplacian(3)] * 2, alpha, beta, RoundSpec(1e-8))
 
 
 def dense_apply(p, v):

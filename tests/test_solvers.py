@@ -11,12 +11,10 @@ from ttkrylov.problems import (
     markov_chain,
     markov_factor_matrices,
 )
-from ttkrylov.sketch import kr_sketch_new
+from ttkrylov.sketch import kr_apply, kr_sketch_new
 from ttkrylov.solvers import (
-    SolveReport,
     SolverConfig,
-    _PhaseTimer,
-    _SketchedLsq,
+    _LeastSquares,
     make_solver_frame,
     sketched_lsq,
     true_residual,
@@ -81,11 +79,10 @@ class TestSketchedLsqWarning:
         dims = [3, 3, 3]
         b = tt_random(dims, [2, 2], seed=0)
         warnings = ["iteration 1: an earlier warning"]
-        lsq = _SketchedLsq(kr_sketch_new(dims, 12, seed=1), b, b,
-                           _PhaseTimer(SolveReport()), warnings)
-        for k in range(1, 4):  # the same column again: the basis is singular
-            lsq.image(b)
-            lsq.update(np.zeros(k + 1))
+        col = kr_apply(kr_sketch_new(dims, 12, seed=1), b)
+        lsq = _LeastSquares(col, np.linalg.norm(col), 3, warnings)
+        for _ in range(3):  # the same column again: the basis is singular
+            lsq.update(col)
         assert warnings == ["iteration 1: an earlier warning",
                             "iteration 2: sketched basis nearly rank-deficient"]
 
@@ -130,6 +127,39 @@ class TestTTGMRES:
         x, rep = tt_gmres(op, rhs, x0, cfg)
         assert rep.converged
         assert rel_gap(x, solve_dense(op, rhs)) <= 1e-7
+
+
+def dense_gmres_residuals(m, e, maxit):
+    """Relative residual history of dense GMRES from zero: Arnoldi with
+    modified Gram-Schmidt, least squares by ``np.linalg.lstsq``."""
+    beta = np.linalg.norm(e)
+    basis, h, out = [e / beta], np.zeros((maxit + 1, maxit)), []
+    for k in range(1, maxit + 1):
+        w = m @ basis[-1]
+        for i, v in enumerate(basis):
+            h[i, k - 1] = w @ v
+            w = w - h[i, k - 1] * v
+        h[k, k - 1] = np.linalg.norm(w)
+        basis.append(w / h[k, k - 1])
+        rhs = np.zeros(k + 1)
+        rhs[0] = beta
+        y = np.linalg.lstsq(h[: k + 1, :k], rhs, rcond=None)[0]
+        out.append(np.linalg.norm(h[: k + 1, :k] @ y - rhs) / beta)
+    return np.array(out)
+
+
+class TestGMRESOracle:
+    @pytest.mark.parametrize("d,n", [(2, 6), (3, 4)])
+    def test_residual_history_matches_dense_gmres(self, d, n):
+        # tol 1e-13: the relaxed rounding at tol^2 / rel_res stays below
+        # 2e-17 relative while rel_res > 5e-10, as it does for 14 iterations,
+        # so no rounding truncates more than roundoff; the run stops at maxit
+        op, rhs = convection_diffusion(ConvectionDiffusionSpec(d=d, n=n))
+        cfg = SolverConfig(maxit=14, tol=1e-13, seed=0)
+        _, rep = tt_gmres(op, rhs, None, cfg)
+        want = dense_gmres_residuals(*dense_reference(op, rhs), cfg.maxit)
+        assert rep.iterations == cfg.maxit
+        np.testing.assert_allclose(rep.res_sketched, want, rtol=1e-8)
 
 
 def _small_problem(seed=0):

@@ -11,10 +11,14 @@ solve is also made with OTHER's ``src/ttkrylov/tt.py`` on the same input;
 each side is timed, alternating which goes first, and the solve goes on with
 this checkout's result.  Per workload it prints:
 
-* ``calls`` and ``rank_diff``: the number of calls, and of calls whose output
-  rank profiles differ;
+* ``calls``, ``rank_diff`` and ``equal``: the number of calls, of calls
+  whose output rank profiles differ, and of calls whose outputs are bitwise
+  equal;
 * ``max_diff_eps``: the largest ||this - other|| / (eps * ||input||) over the
-  calls, both norms taken by this checkout's ``tt_norm``;
+  calls, both norms taken by this checkout's ``tt_norm``; 0 for bitwise equal
+  outputs.  Beside it, ``floor``: the largest reading the same quotient gives
+  for this checkout's output against itself, the cancellation floor of
+  ``tt_norm(this - other)``, below which a difference is not resolved;
 * ``max_diff_chain``: the largest ||this - other|| / (eps * ||G_0|| ||L_1||),
   where ||G_0|| ||L_1|| >= ||input|| is the bound that the first core and the
   rest of the chain put on the input (``tt_round``), the scale of the
@@ -59,8 +63,8 @@ def load_other(root: Path):
 
 def compare(w, seed, other_round):
     this_round = tt.tt_round
-    stats = {"calls": 0, "rank_diff": 0, "max_diff_eps": 0.0, "max_diff_chain": 0.0,
-             "this_s": 0.0, "other_s": 0.0, "rank_in": 0, "rank_sweep": 0}
+    stats = {"calls": 0, "rank_diff": 0, "equal": 0, "max_diff_eps": 0.0, "floor_eps": 0.0,
+             "max_diff_chain": 0.0, "this_s": 0.0, "other_s": 0.0, "rank_in": 0, "rank_sweep": 0}
 
     def timed(fn, v, spec):
         t0 = time.perf_counter()
@@ -79,12 +83,17 @@ def compare(w, seed, other_round):
         stats["other_s"] += t_ref
         ref = tt.TTVector(ref.cores)
         stats["rank_diff"] += got.ranks != ref.ranks
+        equal = got.ranks == ref.ranks and all(
+            np.array_equal(g, r) for g, r in zip(got.cores, ref.cores))
+        stats["equal"] += equal
         lfac = tt._right_factors(v.cores)
         nrm = tt.tt_norm(v)
         if nrm > 0:
-            diff = tt.tt_norm(tt.tt_add(got, tt.tt_scale(ref, -1.0)))
+            diff = 0.0 if equal else tt.tt_norm(tt.tt_add(got, tt.tt_scale(ref, -1.0)))
+            floor = tt.tt_norm(tt.tt_add(got, tt.tt_scale(got, -1.0)))
             chain = tt._norm(v.cores[0]) * tt._norm(lfac[1])
             stats["max_diff_eps"] = max(stats["max_diff_eps"], diff / (EPS * nrm))
+            stats["floor_eps"] = max(stats["floor_eps"], floor / (EPS * nrm))
             stats["max_diff_chain"] = max(stats["max_diff_chain"], diff / (EPS * chain))
         if max(v.ranks) > stats["rank_in"]:
             stats["rank_in"] = max(v.ranks)
@@ -111,7 +120,8 @@ def main(argv=None):
     for name in args.workload or WORKLOADS:
         report, s = compare(WORKLOADS[name], args.seed, other_round)
         print(f"{name:<16} seed={args.seed} iterations={report.iterations} calls={s['calls']}"
-              f" rank_diff={s['rank_diff']} max_diff_eps={s['max_diff_eps']:.1f}"
+              f" rank_diff={s['rank_diff']} equal={s['equal']}"
+              f" max_diff_eps={s['max_diff_eps']:.1f} floor={s['floor_eps']:.1f}"
               f" max_diff_chain={s['max_diff_chain']:.1f}"
               f" this_s={s['this_s']:.3f} other_s={s['other_s']:.3f}"
               f" sweep={s['rank_in']}->{s['rank_sweep']}")
