@@ -199,8 +199,8 @@ def expsum_coeffs(lambda_min: float, lambda_max: float, zeta: int):
     20*zeta) log-spaced points (``_window_weights``: a Remez exchange, or a
     linear program where the exchange cannot settle it).  A window's
     exchange stops as soon as its lower bound shows that the window cannot
-    beat the best so far, and a window this call has scored before is
-    skipped; neither changes a decision of the search.  This lands
+    beat the best so far, and a window whose nodes this call has scored
+    before is skipped; neither changes a decision of the search.  This lands
     close to the best attainable exponential sum.  Falls back to the raw
     trapezoid weights h*exp(s_j) if the linear program fails.
 
@@ -229,17 +229,16 @@ def expsum_coeffs(lambda_min: float, lambda_max: float, zeta: int):
         lo, hi = lo * (1.0 - 1e-9), hi * (1.0 + 1e-9)
     z = np.logspace(np.log10(lo), np.log10(hi), max(1200, 20 * zeta))
 
-    # a window scored before lost then or is the best so far, and best
-    # only falls, so it cannot win now; compass moves often step back
+    # nodes scored before lost then or are the best so far, and best only
+    # falls, so they cannot win now; compass moves often step back, and
+    # (u + s) - s need not round to u, so the record keys on the nodes
     scored = set()
 
     def score(u, v, best_sig):
-        if (u, v) in scored:
-            return None, None, np.inf
-        scored.add((u, v))
         beta = _ladder(u, v, lo, hi, zeta)
-        if beta is None:
+        if beta is None or beta.tobytes() in scored:
             return None, None, np.inf
+        scored.add(beta.tobytes())
         bs, scale = _scaled_basis(z, beta)
         fit = _window_weights(bs, best_sig)
         if fit is None:

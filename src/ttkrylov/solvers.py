@@ -24,11 +24,11 @@ z_k, and A z_k passes through three parts:
   variants orthogonalize against the last ell vectors and round once, at
   eta * tol, after the last step.  With ``combine_mode="stta"`` they
   combine the sketch pairs of A z and of the window vectors instead and
-  recover the result once (its sketch of A z counts as rounding); the
-  window keeps the pairs of its at most ell vectors, which are the
-  assembly's own pairs when z_k is v_k.  The frame's recovery ranks then
-  cap every basis vector; the report warns, once, when a vector reaches
-  the cap at a mode where it is below the full rank.
+  recover the result once (its sketch of A z counts as rounding); each
+  window entry carries its vector's sketch pair, the assembly's own pair
+  when z_k is v_k, and drops it with the vector.  The frame's recovery
+  ranks then cap every basis vector; the report warns, once, when a vector
+  reaches the cap at a mode where it is below the full rank.
 * least squares: one problem, min_y ||M y - rhs||, solved by SVD
   (``sketched_lsq``) in ``_LeastSquares``.  ``tt_gmres`` fits the Hessenberg
   matrix H to beta e_1, the coordinates of A V in the orthonormal basis; the
@@ -87,6 +87,7 @@ _LSQ_RCOND = 1e-12
 _BREAKDOWN_FACTOR = 1e-14
 _CONDITION_WATERMARK = 1e-10
 _RANK_DEFICIENT = "sketched basis nearly rank-deficient"
+_FRAME_CAPS = "the recovery frame caps the basis vector at modes"
 
 
 @dataclass
@@ -134,8 +135,9 @@ class SolveReport:
 
     ``basis_rank[k]`` is the largest TT rank of the newest basis vector
     after iteration k+1 (the previous one after a lucky breakdown).  The
-    histories and ``times[p]`` have one entry per iteration; the final
-    assembly's time is added to the last ``times["recovery"]`` entry.
+    histories and ``times[p]`` have one entry per iteration.  A tracked
+    solve returns its last tracked iterate; otherwise the final assembly's
+    time is added to the last ``times["recovery"]`` entry.
     """
 
     converged: bool = False
@@ -310,15 +312,9 @@ def _krylov(a, b, x0, cfg: SolverConfig, sketch=None, frame=None, precond=None):
         assembly = StreamedSum(frame, sol_spec, start=x0)
         keep = partial(timer.timed, "sketch", assembly.add)
     stta = frame is not None and cfg.combine_mode == "stta"
-    # stta: the modes whose recovery rank is below the full rank, where a
-    # recovered basis vector that reaches it may have been truncated
-    capping = []
-    if stta:
-        cap = frame.right.ranks
-        capping = [m for m, f in enumerate(attainable_ranks(b.dims), 1) if cap[m] < f]
     window_size = cfg.maxit + 1 if relaxed else cfg.ell
-    window = [(0, tt_scale(r0, 1.0 / beta))]  # (basis index, basis vector)
-    pairs = {}  # stta: the sketch pair of each window vector, by basis index
+    # (basis index, basis vector, its sketch pair once expanded under stta)
+    window = [(0, tt_scale(r0, 1.0 / beta), None)]
     if cfg.track_true_residual:
         report.res_true = []
     spec = RoundSpec(cfg.eta * cfg.tol, cfg.max_rank)
@@ -328,11 +324,11 @@ def _krylov(a, b, x0, cfg: SolverConfig, sketch=None, frame=None, precond=None):
 
     for k in range(1, cfg.maxit + 1):
         # expand: z = P^{-1} v enters the solution, A z the Krylov space
-        i, v = window[-1]
+        i, v, _ = window[-1]
         z = timer.timed("matvec", pinv, v)
         kept = keep(z)
         if stta:  # without P^{-1}, z is v and its pair is kept already
-            pairs[i] = kept if z is v else timer.timed("sketch", stream_sketch, v, frame)
+            window[-1] = (i, v, kept if z is v else timer.timed("sketch", stream_sketch, v, frame))
         w = timer.timed("matvec", tt_matvec, a, z)
         if not relaxed:  # the sketched least squares fits S A z, not col
             sw = timer.timed("sketch", kr_apply, sketch, w)
@@ -344,7 +340,7 @@ def _krylov(a, b, x0, cfg: SolverConfig, sketch=None, frame=None, precond=None):
             w = timer.timed("round", tt_round, w, spec)
         t0 = time.perf_counter()
         col = np.zeros(k + 1)
-        for i, v in window:
+        for i, v, _ in window:
             col[i] = tt_dot(w, v)
             if not stta:
                 w = tt_add(w, tt_scale(v, -col[i]))
@@ -353,25 +349,25 @@ def _krylov(a, b, x0, cfg: SolverConfig, sketch=None, frame=None, precond=None):
         timer.add("orth", t0)
         if stta:  # recover w - sum_i col_i v_i from the sketch pairs
             t0 = time.perf_counter()
-            terms = [i for i, _ in window]
-            pair = combine_pairs([stream_sketch(w, frame), *(pairs[i] for i in terms)],
-                                 [1.0, *-col[terms]])
+            pair = combine_pairs([stream_sketch(w, frame), *(p for _, _, p in window)],
+                                 [1.0, *(-col[i] for i, _, _ in window)])
             w = stream_recover(pair, spec)
             timer.add("round", t0)
-            capped = [m for m in capping if w.ranks[m] >= cap[m]]
-            if capped:  # warn once per solve
-                report.warnings.append(
-                    f"iteration {k}: the recovery frame caps the basis vector at modes {capped}")
-                capping = []
+            # a vector that reaches a recovery rank below the full rank may
+            # have been truncated there; warn once per solve
+            capped = [m for m, f in enumerate(attainable_ranks(b.dims), 1)
+                      if frame.right.ranks[m] < f and w.ranks[m] >= frame.right.ranks[m]]
+            if capped and not any(_FRAME_CAPS in msg for msg in report.warnings):
+                report.warnings.append(f"iteration {k}: {_FRAME_CAPS} {capped}")
         elif not relaxed:
             w = timer.timed("round", tt_round, w, spec)
         hnew = col[k] = tt_norm(w)
         lucky = hnew <= _BREAKDOWN_FACTOR * np.linalg.norm(col)
         if not lucky:
-            window.append((k, tt_scale(w, 1.0 / hnew)))
+            window.append((k, tt_scale(w, 1.0 / hnew), None))
         report.max_resident_basis = max(report.max_resident_basis, len(window))
         if len(window) > window_size:
-            pairs.pop(window.pop(0)[0], None)
+            window.pop(0)
 
         res, stalled = timer.timed("lsq", lsq.update, col if relaxed else sw)
         rel_res = max(res / lsq.scale, 1e-300)
@@ -388,8 +384,9 @@ def _krylov(a, b, x0, cfg: SolverConfig, sketch=None, frame=None, precond=None):
                 report.warnings.append(f"iteration {k}: sketched basis stopped growing")
             break
 
-    x = timer.timed("recovery", assembly.combine, lsq.y)
-    timer.flush(fold=True)
+    if not cfg.track_true_residual:  # else x is the last tracked iterate
+        x = timer.timed("recovery", assembly.combine, lsq.y)
+        timer.flush(fold=True)
     report.converged = converged
     report.iterations = k
     report.wall_time = time.perf_counter() - t_start

@@ -289,13 +289,15 @@ class TestPruning:
         assert pruned[2] == unpruned[2]
 
     def test_each_window_scored_once(self, monkeypatch):
-        windows = []
-        ladder = precond._ladder
-        monkeypatch.setattr(precond, "_ladder",
-                            lambda u, v, *rest: windows.append((u, v)) or ladder(u, v, *rest))
+        # every scored window builds its basis once; no node set may repeat,
+        # even one a compass step back reaches under another (u, v)
+        nodes = []
+        basis = precond._scaled_basis
+        monkeypatch.setattr(precond, "_scaled_basis",
+                            lambda z, beta: nodes.append(beta.tobytes()) or basis(z, beta))
         expsum_coeffs(*spectral_interval(MARKOV4), 9)
-        assert len(windows) > 36  # the 6 x 6 scan, then compass moves
-        assert len(set(windows)) == len(windows)
+        assert len(nodes) > 36  # the 6 x 6 scan, then compass moves
+        assert len(set(nodes)) == len(nodes)
 
 
 def smallest_sym_eig(f):

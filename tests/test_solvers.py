@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,16 @@ class TestReportInvariants:
         # the returned solution is the last tracked iterate
         assert rep.res_true[-1] <= 10 * max(rep.res_sketched[-1], 1e-8)
         assert rep.res_true[-1] == true_residual(op, rhs, x)
+        # tracking only observes: without it the solve is bitwise the same
+        for mode in ("explicit", "stta"):
+            tracked, untracked = (
+                run_variant(name, op, rhs, None,
+                            replace(cfg, combine_mode=mode, track_true_residual=track), pre)
+                for track in (True, False))
+            assert all(np.array_equal(c, u) for c, u in zip(tracked[0].cores, untracked[0].cores))
+            assert tracked[1].res_sketched == untracked[1].res_sketched
+            assert tracked[1].basis_rank == untracked[1].basis_rank
+            assert tracked[1].iterations == untracked[1].iterations
 
 
 class TestEntry:

@@ -11,10 +11,11 @@ ignores ``combine_mode``), from a zero and from a random initial guess.
 ``tt_spgmres`` uses an exponential-sum preconditioner with zeta=3.
 
 At n=5 every recovery rank of the solver frame is clipped to the full rank
-5, so those runs cannot see the frame's size.  Eight more runs can: a
+5, so those runs cannot see the frame's size.  Sixteen more runs can: a
 convection-diffusion problem with d=4, n=8 (full ranks 8, 64, 8), solved
-from zero by ``tt_sgmres`` and by ``tt_spgmres``, at ``ell`` 1 in both
-modes.  For each run it prints two SHA-256 digests:
+from zero by ``tt_sgmres`` and by ``tt_spgmres``, at ``ell`` 1 and 2 in
+both modes; at ``ell=2`` a capped STTA window also drops sketch pairs.
+104 runs in all.  For each run it prints two SHA-256 digests:
 
 * ``run``: iterations, converged, the sketched and true residual histories,
   the warnings, the length of every phase-time history and the bytes of the
@@ -75,9 +76,10 @@ def variants():
 
 def frame_variants():
     """The solvers that stream their solution through a frame."""
-    for name in ("tt_sgmres", "tt_spgmres"):
-        for mode in ("explicit", "stta"):
-            yield name, 1, mode
+    for ell in (1, 2):
+        for name in ("tt_sgmres", "tt_spgmres"):
+            for mode in ("explicit", "stta"):
+                yield name, ell, mode
 
 
 def solve(name, op, rhs, x0, cfg, precond):
