@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import linprog
 
-from .streaming import AdaptiveStreamedSum, FrameLadder
+from .streaming import AdaptiveStreamedSum
 # mode_multiply lives in tt; it stays importable from here, where it was
 from .tt import RoundSpec, ShapeMismatch, TTVector, check_finite, mode_multiply  # noqa: F401
 
@@ -310,14 +310,15 @@ class ExpSumPreconditioner:
     (x_i exp(-beta_j A_i)) v and rounds their alpha-weighted sum in one
     streamed pass, an ``AdaptiveStreamedSum``: the products are sketched
     against one frame, the weighted sketches added and recovered once at
-    the spec's tolerance, and the frame doubles in rank until the recovered
-    rank leaves room in it.  The spec's rank cap applies to the result
-    only.  Every apply draws its frames afresh from ``stream_seed``, so an
-    input gives bitwise the same result on every call; a P^{-1} that
-    changed from call to call would keep the sketched solvers' breakdown
-    stop from firing.  Keeping the frames between applies would save their
-    draw (~1 ms at markov4 sizes) but, held through the solver's own
-    roundings, raised markov4-spgmres peak RSS by 11-16 %.
+    the spec's tolerance, and a frame of double the rank is drawn until the
+    recovered rank leaves room in it.  The spec's rank cap applies to the
+    result only.  Every apply draws its frames afresh from ``stream_seed``
+    (frame i from the seed [stream_seed, i]), so an input gives bitwise
+    the same result on every call; a P^{-1} that changed from call to call
+    would keep the sketched solvers' breakdown stop from firing.  Keeping
+    the frames between applies would save their draw (~1 ms at markov4
+    sizes) but, held through the solver's own roundings, raised
+    markov4-spgmres peak RSS by 11-16 %.
     """
 
     def __init__(self, factors, alpha, beta, spec: RoundSpec,
@@ -336,7 +337,7 @@ class ExpSumPreconditioner:
         self.exps = [
             [matrix_exp(-bj * f) for f in self.factors] for bj in self.beta
         ]
-        FrameLadder(self.dims, seed=stream_seed)  # checks the seed; draws nothing
+        AdaptiveStreamedSum(self.dims, stream_seed, spec)  # checks the seed; draws nothing
         self.stream_seed = stream_seed
 
     @property
@@ -363,7 +364,7 @@ class ExpSumPreconditioner:
         check_finite(v)
         if v.dims != self.dims:
             raise ShapeMismatch(f"vector dims {v.dims} do not match {self.dims}")
-        acc = AdaptiveStreamedSum(FrameLadder(self.dims, seed=self.stream_seed), self.spec)
+        acc = AdaptiveStreamedSum(self.dims, self.stream_seed, self.spec)
         for e in self.exps:
             acc.add(v, e)
         return acc.combine(self.alpha)

@@ -63,14 +63,10 @@ def cd_factor_matrices(spec: ConvectionDiffusionSpec):
     """The per-mode matrices -(L + D_i): negated second-difference diffusion
     plus upper-bidiagonal convection, oriented positive definite."""
     n, h = spec.n, spec.h
-    lap = (spec.diffusion / h**2) * (
-        -2.0 * np.eye(n) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1)
-    )
-    out = []
-    for w in spec.convection:
-        conv = (w / h) * (-np.eye(n) + np.diag(np.ones(n - 1), 1))
-        out.append(-(lap + conv))
-    return out
+    eye, up = np.eye(n), np.eye(n, k=1)
+    lap = (spec.diffusion / h**2) * (-2.0 * eye + up + up.T)
+    shift = -eye + up
+    return [-(lap + (w / h) * shift) for w in spec.convection]
 
 
 def convection_diffusion(spec: ConvectionDiffusionSpec):

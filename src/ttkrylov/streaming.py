@@ -10,8 +10,8 @@ pseudo-inverse core recovery in the style of the generalized Nystrom method
 Two of the rounding layer's sums (``add``/``combine``; ``tt.RoundedSum`` is
 the third) are built on this.  ``StreamedSum`` keeps only the sketch pair
 of each term against one fixed frame, as the solvers' solution does.
-``AdaptiveStreamedSum`` keeps the terms and streams them through a
-``FrameLadder`` of nested frames of doubling rank, climbing until an
+``AdaptiveStreamedSum`` keeps the terms and streams them through frames
+of doubling rank, each drawn by ``StreamFrame.create``, climbing until an
 a-posteriori check shows the frame had room for the sum, as the
 preconditioner's apply does.
 """
@@ -40,10 +40,11 @@ PINV_RCOND = 1e-12
 # from call to call that 3 of 200 solve seeds missed the breakdown stop at
 # iteration 6 (none of 500 with this cutoff).
 SUM_PINV_RCOND = 1e-14
-# FrameLadder: the first rung's recovery rank and every rung's left
-# oversampling.  Inside a markov4-spgmres solve most preconditioner applies
-# (results of rank 2-14) end on the first rung; with oversampling 8 or 12
-# some applies there missed rel_tol against the sequential sum.
+# AdaptiveStreamedSum: the first frame's recovery rank (frame i has
+# LADDER_START * 2**i) and every frame's left oversampling.  Inside a
+# markov4-spgmres solve most preconditioner applies (results of rank 2-14)
+# end on the first frame; with oversampling 8 or 12 some applies there
+# missed rel_tol against the sequential sum.
 LADDER_START = 16
 LADDER_OVERSAMPLING = 16
 
@@ -66,28 +67,12 @@ def tt_drm_new(dims, ranks, seed=0) -> TTVector:
         raise ValueError("ranks must have length d-1")
     if any(r < 1 for r in ranks):
         raise ValueError("ranks must be positive")
-    return _gaussian_tt(dims, ranks, ranks, np.random.default_rng(seed))
-
-
-def _gaussian_tt(dims, ranks, scale_ranks, rng, lead: TTVector | None = None) -> TTVector:
-    """A TT tensor with interior ranks ``ranks`` and i.i.d. Gaussian core
-    entries of the variance ``tt_drm_new`` gives ranks ``scale_ranks``,
-    drawn core by core from ``rng``; the cores of ``lead``, if given, then
-    overwrite the leading blocks."""
-    full, scale = [1, *ranks, 1], [1, *scale_ranks, 1]
+    rng = np.random.default_rng(seed)
+    full = [1, *ranks, 1]
     cores = []
     for k, n in enumerate(dims):
-        s = np.sqrt(1.0 / (scale[k] * n * scale[k + 1]))
-        if lead is None:
-            c = rng.standard_normal((full[k], n, full[k + 1]))
-            c *= s
-        else:  # draw only around the leading block
-            b = lead.cores[k]
-            a0, a1 = b.shape[0], b.shape[2]
-            c = np.empty((full[k], n, full[k + 1]))
-            c[:a0, :, :a1] = b
-            c[:a0, :, a1:] = s * rng.standard_normal((a0, n, full[k + 1] - a1))
-            c[a0:] = s * rng.standard_normal((full[k] - a0, n, full[k + 1]))
+        c = rng.standard_normal((full[k], n, full[k + 1]))
+        c *= np.sqrt(1.0 / (full[k] * n * full[k + 1]))
         cores.append(c)
     return TTVector(cores)
 
@@ -284,44 +269,6 @@ class StreamedSum:
         return u if self.start is None else tt_round(tt_add(self.start, u), self.spec)
 
 
-class FrameLadder:
-    """Nested frames of doubling recovery rank: LADDER_START,
-    2*LADDER_START, ... (clipped to the full ranks), with left ranks
-    LADDER_OVERSAMPLING higher.
-
-    Only the highest rung drawn so far is kept; every lower rung is its
-    leading blocks.  A new rung keeps the old cores as its leading blocks
-    and draws the rest from ``seed`` and the rung, with the entry scale of
-    the first rung's TT-DRM throughout.  So a rung depends only on the
-    dimensions, the seed and its number: two ladders with one seed give the
-    same maps, whichever rungs either has drawn.
-    """
-
-    def __init__(self, dims, seed=0):
-        if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-            raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-        self.dims, self.seed = tuple(dims), seed
-        self._top, self._height = None, -1
-
-    def _ranks(self, i):
-        right = [min(LADDER_START * 2**i, f) for f in attainable_ranks(self.dims)]
-        return right, [r + LADDER_OVERSAMPLING for r in right]
-
-    def _grow(self):
-        self._height += 1
-        seeds = np.random.SeedSequence([self.seed, self._height]).spawn(2)
-        prev = (None, None) if self._top is None else (self._top.right, self._top.left)
-        self._top = StreamFrame(*(
-            _gaussian_tt(self.dims, ranks, first, np.random.default_rng(s), lead)
-            for lead, ranks, first, s in zip(prev, self._ranks(self._height), self._ranks(0), seeds)
-        ))
-
-    def rung(self, i: int) -> StreamFrame:
-        while self._height < i:
-            self._grow()
-        return self._top.leading(self._ranks(i)[0])
-
-
 class AdaptiveStreamedSum:
     """Linear combinations sum_i c_i t_i of TT vectors by one streamed
     rounding whose frame grows until it has room for the sum.
@@ -329,19 +276,25 @@ class AdaptiveStreamedSum:
     ``add(t, matrices)`` keeps a term: t itself, or, with one matrix per
     mode, the mode product of t with them (``mode_multiply``), which is
     formed afresh whenever it is sketched, so that no more than one such
-    term is held at a time.  ``combine(coeffs)`` climbs ``ladder`` from its
-    first rung.  At each rung it sketches every term against the frame,
-    adds c_i times the pair into one running pair and recovers it once
-    (pseudo-inverse cutoff SUM_PINV_RCOND), rounded at ``spec.rel_tol``.
-    The recovery is accepted when, at every mode, the recovered rank leaves
-    at least max(4, r/4) of the frame's recovery rank r unused, or the
-    frame already reaches the sum's rank bound (the full rank, or the sum
-    of the terms' ranks), where recovery is exact.  Only then is the result
-    cut to ``spec.max_rank``, so that the cap never makes the frame grow.
+    term is held at a time.  ``combine(coeffs)`` tries frames i = 0, 1, ...
+    in turn: frame i is ``StreamFrame.create`` with recovery rank
+    LADDER_START * 2**i, oversampling LADDER_OVERSAMPLING and seed
+    [seed, i], cut to the sum's rank bound (the full rank, or the sum of
+    the terms' ranks) by ``leading``.  So each frame is a fresh draw that
+    depends only on the dimensions, the seed and i.  Against each frame it
+    sketches every term, adds c_i times the pair into one running pair and
+    recovers it once (pseudo-inverse cutoff SUM_PINV_RCOND), rounded at
+    ``spec.rel_tol``.  The recovery is accepted when, at every mode, the
+    recovered rank leaves at least max(4, r/4) of the frame's recovery
+    rank r unused, or the frame already reaches the rank bound, where
+    recovery is exact.  Only then is the result cut to ``spec.max_rank``,
+    so that the cap never makes the frame grow.
     """
 
-    def __init__(self, ladder: FrameLadder, spec: RoundSpec):
-        self.ladder, self.spec, self.terms = ladder, spec, []
+    def __init__(self, dims, seed, spec: RoundSpec):
+        if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+            raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+        self.dims, self.seed, self.spec, self.terms = tuple(dims), seed, spec, []
 
     def add(self, t: TTVector, matrices=None) -> None:
         self.terms.append((t, matrices))
@@ -352,10 +305,11 @@ class AdaptiveStreamedSum:
             raise ValueError("need at least one term")
         # mode products keep the ranks of t
         bound = [min(f, sum(t.ranks[m] for t, _ in terms))
-                 for m, f in enumerate(attainable_ranks(self.ladder.dims), 1)]
+                 for m, f in enumerate(attainable_ranks(self.dims), 1)]
         rung = 0
         while True:
-            frame = self.ladder.rung(rung).leading(bound)
+            frame = StreamFrame.create(self.dims, [LADDER_START << rung] * len(bound),
+                                       LADDER_OVERSAMPLING, seed=[self.seed, rung]).leading(bound)
             pair = None
             for (t, mats), c in zip(terms, coeffs):
                 term = t if mats is None else mode_multiply(t, mats)

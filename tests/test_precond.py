@@ -14,12 +14,22 @@ from ttkrylov.precond import (
     mode_multiply,
     spectral_interval,
 )
-from ttkrylov.streaming import FrameLadder
+from ttkrylov import streaming
+from ttkrylov.streaming import (
+    LADDER_OVERSAMPLING,
+    LADDER_START,
+    SUM_PINV_RCOND,
+    StreamFrame,
+    combine_pairs,
+    stream_recover,
+    stream_sketch,
+)
 from ttkrylov.tt import (
     NonFiniteCore,
     RoundedSum,
     RoundSpec,
     ShapeMismatch,
+    attainable_ranks,
     kron_sum_operator,
     tt_add,
     tt_matvec,
@@ -482,7 +492,7 @@ class TestStreamedApply:
         small = tt_random(p.dims, [2, 2, 2], seed=2)
         first = p.apply_inverse(small)
         assert same_cores(first, p.apply_inverse(small))
-        # an apply that climbs the ladder does not change later applies
+        # an apply that climbs to larger frames does not change later applies
         p.apply_inverse(tt_random(p.dims, [10, 10, 10], seed=1))
         assert same_cores(first, p.apply_inverse(small))
         assert same_cores(first, q.apply_inverse(small))
@@ -490,20 +500,34 @@ class TestStreamedApply:
         assert not same_cores(first, other.apply_inverse(small))
 
     def test_max_rank_caps_without_growth(self, monkeypatch):
-        rungs = []
-        rung = FrameLadder.rung
-        monkeypatch.setattr(FrameLadder, "rung", lambda self, i: rungs.append(i) or rung(self, i))
+        recoveries = []  # one per frame tried
+        recover = streaming.stream_recover
+        monkeypatch.setattr(streaming, "stream_recover",
+                            lambda *a: recoveries.append(a) or recover(*a))
         p = ExpSumPreconditioner.from_kron_sum(MARKOV4, 9, RoundSpec(3e-7), stream_seed=7)
         capped = ExpSumPreconditioner(MARKOV4, p.alpha, p.beta, RoundSpec(3e-7, 3),
                                       stream_seed=7)
         v = tt_random(p.dims, [1, 1, 1], seed=4)
         full = p.apply_inverse(v)
         assert 3 < max(full.ranks) <= 12
-        rungs.clear()
+        recoveries.clear()
         got = capped.apply_inverse(v)
         assert max(got.ranks) == 3
-        assert rungs == [0]
+        assert len(recoveries) == 1
         assert same_cores(got, tt_round(full, capped.spec))
+
+    def test_first_rung_is_a_plain_frame(self):
+        # an apply that stays on its first frame sketches the mode products
+        # against StreamFrame.create at the first rung's ranks and seed
+        p = ExpSumPreconditioner.from_kron_sum(MARKOV4, 9, RoundSpec(3e-7), stream_seed=7)
+        v = tt_random(p.dims, [2, 2, 2], seed=2)
+        bound = [min(f, len(p.exps) * r) for f, r in zip(attainable_ranks(p.dims), v.ranks[1:-1])]
+        frame = StreamFrame.create(p.dims, [LADDER_START] * 3, LADDER_OVERSAMPLING,
+                                   seed=[7, 0]).leading(bound)
+        pairs = [stream_sketch(mode_multiply(v, e), frame) for e in p.exps]
+        want = stream_recover(combine_pairs(pairs, p.alpha), RoundSpec(3e-7), SUM_PINV_RCOND)
+        assert max(want.ranks) <= LADDER_START - 4  # room left: no climb
+        assert same_cores(p.apply_inverse(v), want)
 
     def test_stream_seed_defaults_to_zero(self):
         p = ExpSumPreconditioner([laplacian(3)] * 2, [1.0], [0.5], RoundSpec(1e-8))

@@ -22,14 +22,18 @@ def kron_chain(mats):
     return m
 
 
-def dense_cd_matrix(spec):
-    # independent finite-difference assembly by explicit Kronecker products
+def dense_cd_factors(spec):
+    # independent finite-difference factors, one per mode
     n, h, k = spec.n, spec.h, spec.diffusion
     lap = (k / h**2) * (-2 * np.eye(n) + np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1))
+    return [-(lap + (w / h) * (-np.eye(n) + np.diag(np.ones(n - 1), 1))) for w in spec.convection]
+
+
+def dense_cd_matrix(spec):
+    # independent assembly by explicit Kronecker products
+    n = spec.n
     out = np.zeros((n**spec.d, n**spec.d))
-    for i, w in enumerate(spec.convection):
-        conv = (w / h) * (-np.eye(n) + np.diag(np.ones(n - 1), 1))
-        fac = -(lap + conv)
+    for i, fac in enumerate(dense_cd_factors(spec)):
         out += kron_chain([np.eye(n)] * i + [fac] + [np.eye(n)] * (spec.d - 1 - i))
     return out
 
@@ -50,6 +54,17 @@ class TestConvectionDiffusion:
         want = np.exp(-10.0 * spec.grid**2)
         got = tt_to_dense(rhs)
         assert np.allclose(got, np.einsum("i,j,k->ijk", want, want, want), atol=1e-13)
+
+    @pytest.mark.parametrize("d, n, convection", [
+        (3, 5, None), (4, 16, None), (6, 64, None), (4, 34, (0.7, -0.3, 0.0, 1.9)),
+    ])
+    def test_factors_match_independent_construction(self, d, n, convection):
+        # byte for byte, signs of zeros included
+        spec = ConvectionDiffusionSpec(d=d, n=n, convection=convection)
+        got, want = cd_factor_matrices(spec), dense_cd_factors(spec)
+        assert len(got) == d
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
 
     def test_symmetric_when_no_convection(self):
         spec = ConvectionDiffusionSpec(d=3, n=4, convection=(0.0, 0.0, 0.0))

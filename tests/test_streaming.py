@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ttkrylov import streaming
 from ttkrylov.streaming import (
+    LADDER_OVERSAMPLING,
+    LADDER_START,
     AdaptiveStreamedSum,
     DegenerateRecovery,
-    FrameLadder,
     SketchPair,
     StreamedSum,
     StreamFrame,
@@ -352,65 +354,79 @@ class TestLeading:
             assert np.array_equal(c[: s.shape[0], :, : s.shape[2]], s)
 
 
-class TestFrameLadder:
-    def test_rungs_double_and_clip(self):
-        ladder = FrameLadder([6, 6, 6, 6], seed=3)
-        assert ladder.rung(0).right.ranks == (1, 6, 16, 6, 1)
-        assert ladder.rung(0).left.ranks == (1, 22, 32, 22, 1)
-        assert ladder.rung(1).right.ranks == (1, 6, 32, 6, 1)
-        assert ladder.rung(2).right.ranks == (1, 6, 36, 6, 1)
-        assert ladder.rung(2).left.ranks == (1, 22, 52, 22, 1)
+def recorded_frames(monkeypatch):
+    """The frames AdaptiveStreamedSum sketches against, in order."""
+    frames, sketch = [], streaming.stream_sketch
 
-    def test_growth_keeps_lower_rungs(self):
-        fresh = FrameLadder([5, 5, 5, 5], seed=4).rung(0)
-        ladder = FrameLadder([5, 5, 5, 5], seed=4)
-        ladder.rung(2)
-        for a, b in zip(frame_cores(fresh), frame_cores(ladder.rung(0))):
-            assert np.array_equal(a, b)
+    def record(t, frame):
+        if not frames or frames[-1] is not frame:
+            frames.append(frame)
+        return sketch(t, frame)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "0"])
-    def test_bad_seed(self, seed):
-        with pytest.raises(ValueError, match="nonnegative integer"):
-            FrameLadder([4, 4, 4], seed=seed)
-
-    def test_seed_picks_the_maps(self):
-        a, b = FrameLadder([4, 4, 4], seed=0).rung(0), FrameLadder([4, 4, 4], seed=1).rung(0)
-        assert not np.array_equal(a.right.cores[1], b.right.cores[1])
+    monkeypatch.setattr(streaming, "stream_sketch", record)
+    return frames
 
 
 class TestAdaptiveStreamedSum:
-    def test_grows_to_the_full_rank(self):
+    def test_grows_to_the_full_rank(self, monkeypatch):
         # the sum has the full rank 36 at the middle mode: the first two
-        # rungs (16, 32) have no room for it, the third reaches it exactly
+        # frames (16, 32) have no room for it, the third reaches it exactly
         dims = [6, 6, 6, 6]
         terms = [tt_random(dims, [3, 9, 3], seed=60 + i) for i in range(4)]
         coeffs = [1.0, -0.5, 2.0, 0.25]
-        acc = AdaptiveStreamedSum(FrameLadder(dims, seed=5), RoundSpec(1e-8))
+        frames = recorded_frames(monkeypatch)
+        acc = AdaptiveStreamedSum(dims, 5, RoundSpec(1e-8))
         for t in terms:
             acc.add(t)
         got = acc.combine(coeffs)
         want = sum(c * tt_to_dense(t) for c, t in zip(coeffs, terms))
         assert got.ranks == (1, 6, 36, 6, 1)
         assert rel_err(tt_to_dense(got), want) <= 1e-8 + _RECOVERY_SLACK
+        # frame ranks double, clipped to the full ranks
+        assert [f.right.ranks for f in frames] == [
+            (1, 6, 16, 6, 1), (1, 6, 32, 6, 1), (1, 6, 36, 6, 1)]
+        assert [f.left.ranks for f in frames] == [
+            (1, 22, 32, 22, 1), (1, 22, 48, 22, 1), (1, 22, 52, 22, 1)]
 
-    def test_low_rank_sum_on_the_first_rung(self):
+    def test_low_rank_sum_on_the_first_rung(self, monkeypatch):
         dims = [6, 6, 6, 6]
         base = tt_random(dims, [2, 3, 2], seed=70)
         terms = [tt_add(tt_scale(base, 1.0 + i), tt_random(dims, [1, 1, 1], seed=71 + i))
                  for i in range(5)]
-        ladder = FrameLadder(dims, seed=6)
-        acc = AdaptiveStreamedSum(ladder, RoundSpec(1e-9))
+        frames = recorded_frames(monkeypatch)
+        acc = AdaptiveStreamedSum(dims, 6, RoundSpec(1e-9))
         for t in terms:
             acc.add(t)
         coeffs = [0.5, -1.0, 0.25, 2.0, -0.75]
         got = acc.combine(coeffs)
         want = sum(c * tt_to_dense(t) for c, t in zip(coeffs, terms))
         assert max(got.ranks) <= 12  # room left in the rank-16 frame
-        assert ladder._height == 0
+        assert len(frames) == 1
         assert rel_err(tt_to_dense(got), want) <= 1e-9 + _RECOVERY_SLACK
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "0"])
+    def test_bad_seed(self, seed):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            AdaptiveStreamedSum([4, 4, 4], seed, RoundSpec(1e-8))
+
+    def test_seed_picks_the_maps(self, monkeypatch):
+        dims = [4, 4, 4]
+        t = tt_random(dims, [2, 2], seed=1)
+        frames = recorded_frames(monkeypatch)
+        for seed in (0, 1):
+            acc = AdaptiveStreamedSum(dims, seed, RoundSpec(1e-8))
+            acc.add(t)
+            acc.combine([1.0])
+        assert len(frames) == 2
+        assert not np.array_equal(frames[0].right.cores[1], frames[1].right.cores[1])
+        # the first frame is a plain StreamFrame drawn from [seed, 0]
+        want = StreamFrame.create(dims, [LADDER_START] * 2, LADDER_OVERSAMPLING, seed=[1, 0])
+        want = want.leading([2, 2])
+        for a, b in zip(frame_cores(frames[1]), frame_cores(want)):
+            assert np.array_equal(a, b)
+
     def test_zero_sum(self):
-        acc = AdaptiveStreamedSum(FrameLadder([3, 3, 3], seed=0), RoundSpec(1e-8))
+        acc = AdaptiveStreamedSum([3, 3, 3], 0, RoundSpec(1e-8))
         acc.add(tt_random([3, 3, 3], [2, 2], seed=1))
         got = acc.combine([0.0])
         assert np.all(tt_to_dense(got) == 0)
