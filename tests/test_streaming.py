@@ -367,22 +367,30 @@ def recorded_frames(monkeypatch):
     return frames
 
 
+def full_rank_sum(monkeypatch):
+    # the sum has the full rank 36 at the middle mode: the first two
+    # frames (16, 32) have no room for it, the third reaches it exactly
+    dims = [6, 6, 6, 6]
+    terms = [tt_random(dims, [3, 9, 3], seed=60 + i) for i in range(4)]
+    coeffs = [1.0, -0.5, 2.0, 0.25]
+    frames = recorded_frames(monkeypatch)
+    acc = AdaptiveStreamedSum(dims, 5, RoundSpec(1e-8))
+    for t in terms:
+        acc.add(t)
+    got = acc.combine(coeffs)
+    want = sum(c * tt_to_dense(t) for c, t in zip(coeffs, terms))
+    return got, want, frames
+
+
 class TestAdaptiveStreamedSum:
     def test_grows_to_the_full_rank(self, monkeypatch):
-        # the sum has the full rank 36 at the middle mode: the first two
-        # frames (16, 32) have no room for it, the third reaches it exactly
-        dims = [6, 6, 6, 6]
-        terms = [tt_random(dims, [3, 9, 3], seed=60 + i) for i in range(4)]
-        coeffs = [1.0, -0.5, 2.0, 0.25]
-        frames = recorded_frames(monkeypatch)
-        acc = AdaptiveStreamedSum(dims, 5, RoundSpec(1e-8))
-        for t in terms:
-            acc.add(t)
-        got = acc.combine(coeffs)
-        want = sum(c * tt_to_dense(t) for c, t in zip(coeffs, terms))
+        got, want, _ = full_rank_sum(monkeypatch)
         assert got.ranks == (1, 6, 36, 6, 1)
         assert rel_err(tt_to_dense(got), want) <= 1e-8 + _RECOVERY_SLACK
+
+    def test_rungs_double_and_clip(self, monkeypatch):
         # frame ranks double, clipped to the full ranks
+        _, _, frames = full_rank_sum(monkeypatch)
         assert [f.right.ranks for f in frames] == [
             (1, 6, 16, 6, 1), (1, 6, 32, 6, 1), (1, 6, 36, 6, 1)]
         assert [f.left.ranks for f in frames] == [
