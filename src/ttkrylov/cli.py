@@ -81,7 +81,7 @@ class ConfigError(Exception):
 CSV_HEADER = ["iter", "res_sketched", "res_true", "max_rank"] + [f"t_{p}" for p in PHASES]
 TABLE_HEADER = [
     "axis", "value", "variant", "time", "iterations",
-    "peak_rank", "res_sketched", "res_true", "converged",
+    "peak_rank", "kept_mb", "res_sketched", "res_true", "converged",
 ]
 SOLVER_NAMES = ("tt_gmres", "tt_sgmres_vanilla", "tt_sgmres", "tt_spgmres")
 PROBLEMS = {
@@ -280,7 +280,8 @@ def _out_dir(args):
 
 def run_table(cp, args, table, axis=None, values=(None,), traces=False):
     """Run every variant at every point and write one row per run to
-    ``<table>.csv``; returns whether every run converged.
+    ``<table>.csv`` (columns ``TABLE_HEADER``; ``kept_mb`` is the report's
+    ``kept_mb``); returns whether every run converged.
 
     The variants are the [compare] list, else the [solver] type.  Without
     an axis the config itself is the only point.  With ``traces`` each
@@ -313,8 +314,8 @@ def run_table(cp, args, table, axis=None, values=(None,), traces=False):
             final_true = f"{report.res_true[-1]:.6e}" if report.res_true else ""
             rows.append([
                 axis or "", value or "", name, f"{wall:.4f}", report.iterations,
-                report.peak_rank, f"{report.res_sketched[-1]:.6e}", final_true,
-                report.converged,
+                report.peak_rank, f"{report.kept_mb:.4f}", f"{report.res_sketched[-1]:.6e}",
+                final_true, report.converged,
             ])
     path = os.path.join(out_dir, f"{table}.csv")
     with open(path, "w", newline="") as fh:

@@ -316,9 +316,12 @@ class ExpSumPreconditioner:
     (frame i from the seed [stream_seed, i]), so an input gives bitwise
     the same result on every call; a P^{-1} that changed from call to call
     would keep the sketched solvers' breakdown stop from firing.  Keeping
-    the frames between applies would save their draw (~1 ms at markov4
-    sizes) but, held through the solver's own roundings, raised
-    markov4-spgmres peak RSS by 11-16 %.
+    the frames between applies would save their draw (~1 ms an apply at
+    markov4 sizes; markov4-spgmres ``solve_s`` 0.066-0.068 -> 0.058-0.061 s)
+    but, held through the solver's own roundings, raised markov4-spgmres
+    peak RSS from 8.8 to 9.9 MiB (+1.1 MiB; medians of 10 benchmark pairs
+    at each of seeds 0 and 7, with the solution's sketch pairs kept
+    factored).
     """
 
     def __init__(self, factors, alpha, beta, spec: RoundSpec,

@@ -11,7 +11,10 @@ Four variants run one driver loop (``_krylov``) and share one report format:
 * ``tt_sgmres``         -- incomplete orthogonalization, sketch-only basis
                            memory: only the last ell basis vectors stay
                            resident, the solution is recovered from
-                           accumulated streaming sketches.
+                           accumulated streaming sketches.  Each z_i costs
+                           sum_mu min(l n r, l t + t n t' + t' r) entries
+                           for its ranks t against the frame's left ranks
+                           l and recovery ranks r, plus its Omegas.
 * ``tt_spgmres``        -- flexibly right-preconditioned ``tt_sgmres``.
 
 Each iteration expands the newest basis vector v_k: the preconditioned
@@ -41,7 +44,9 @@ z_k, and A z_k passes through three parts:
   vectors whose images the least squares fitted (flexible GMRES, Saad
   1993): no P^{-1} follows it.  ``RoundedSum`` (``tt``) keeps the z_i and
   adds them by sequential rounded additions; ``StreamedSum``
-  (``streaming``) keeps only their sketch pairs and recovers the sum once.
+  (``streaming``) keeps only their sketch pairs, each Psi dense or as its
+  three factors, whichever is smaller, and recovers the sum once.  The
+  report's ``kept_mb`` is the size of what the assembly keeps.
 
 A lucky breakdown ends the run as converged: the orthogonalized vector
 vanishes next to ||A v||, which is taken from the Hessenberg column as
@@ -137,7 +142,9 @@ class SolveReport:
     after iteration k+1 (the previous one after a lucky breakdown).  The
     histories and ``times[p]`` have one entry per iteration.  A tracked
     solve returns its last tracked iterate; otherwise the final assembly's
-    time is added to the last ``times["recovery"]`` entry.
+    time is added to the last ``times["recovery"]`` entry.  ``kept_mb`` is
+    the size in MiB of what the assembly keeps of the z_i at the end (the
+    terms, or their sketch pairs).
     """
 
     converged: bool = False
@@ -149,6 +156,7 @@ class SolveReport:
     seed: int = 0
     warnings: list = field(default_factory=list)
     max_resident_basis: int = 0
+    kept_mb: float = 0.0
     wall_time: float = 0.0
 
     @property
@@ -218,8 +226,10 @@ def make_solver_frame(b: TTVector, cfg: SolverConfig, seed) -> StreamFrame:
     arXiv:2208.02600).  A sum that is only close to low rank, as the
     rounded basis makes it, is recovered less well once its rank nears r,
     so an explicit solution rank wants some headroom; a larger frame
-    costs memory and time in every sketch pair.  ``StreamFrame.create``
-    clips each rank to what the mode attains.
+    costs time in every sketch and memory in every kept pair: per mode
+    min(l n r, l t + t n t' + t' r) entries for a term of ranks t, left
+    ranks l and recovery ranks r.  ``StreamFrame.create`` clips each rank
+    to what the mode attains.
     """
     sol = default_solution_rank(b, cfg)
     ranks = [max(r, sol) for r in b.ranks[1:-1]]
@@ -389,6 +399,7 @@ def _krylov(a, b, x0, cfg: SolverConfig, sketch=None, frame=None, precond=None):
         timer.flush(fold=True)
     report.converged = converged
     report.iterations = k
+    report.kept_mb = assembly.nbytes / 2**20
     report.wall_time = time.perf_counter() - t_start
     return x, report
 

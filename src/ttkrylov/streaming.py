@@ -9,7 +9,13 @@ pseudo-inverse core recovery in the style of the generalized Nystrom method
 
 Two of the rounding layer's sums (``add``/``combine``; ``tt.RoundedSum`` is
 the third) are built on this.  ``StreamedSum`` keeps only the sketch pair
-of each term against one fixed frame, as the solvers' solution does.
+of each term against one fixed frame, as the solvers' solution does.  Each
+Psi_mu = L_{mu-1} C_mu R_{mu+1} of a kept pair is held in whichever form
+has fewer entries: the dense (l n) x r matrix, or its three factors (the
+left contraction, the term's core, the right contraction).  So a term of
+ranks t costs sum_mu min(l n r, l t + t n t' + t' r) entries besides its
+Omegas, and the sum rebuilds each factored Psi with the products of
+``stream_sketch``, bitwise the same matrix.
 ``AdaptiveStreamedSum`` keeps the terms and streams them through frames
 of doubling rank, each drawn by ``StreamFrame.create``, climbing until an
 a-posteriori check shows the frame had room for the sum, as the
@@ -134,15 +140,55 @@ class StreamFrame:
 class SketchPair:
     """Per-mode sketches of one tensor against a frame.
 
-    psi[mu] has shape (l_{mu-1} * n_mu, r_mu) with l_0 = r_d = 1;
-    omega[mu] has shape (l_{mu+1 ...}) for mu = 1..d-1.  Pairs from the
-    same frame add entrywise.
+    psi[mu] = L_{mu-1} C_mu R_{mu+1} has shape (l_{mu-1} * n_mu, r_mu)
+    with l_0 = r_d = 1: the left contraction L_{mu-1} (l_{mu-1} x t_{mu-1}),
+    the tensor's core C_mu (t_{mu-1} x n_mu x t_mu) and the right
+    contraction R_{mu+1} (t_mu x r_mu); omega[mu] = L_mu R_mu has shape
+    (l_mu, r_mu) for mu = 1..d-1.  ``stream_sketch`` returns every psi[mu]
+    dense with its factors attached (``factors[mu]`` = (L, C, R)).
+    ``kept`` holds per mode only the form with fewer entries, l n r
+    against l t + t n t' + t' r, leaving psi[mu] None where it holds the
+    factors; ``psi_matrix`` gives the dense matrix of either form, bitwise
+    the same.  Pairs from the same frame add entrywise (``add_scaled``).
     """
 
-    def __init__(self, psi, omega, dims):
+    def __init__(self, psi, omega, dims, factors=None):
         self.psi = psi
         self.omega = omega
         self.dims = tuple(dims)
+        self.factors = factors
+
+    def psi_matrix(self, mu: int) -> np.ndarray:
+        if self.psi[mu] is not None:
+            return self.psi[mu]
+        lmat, core, rmat = self.factors[mu]
+        return _left_product(lmat, core) @ rmat
+
+    def kept(self) -> "SketchPair":
+        """This pair with each psi[mu] in its smaller form.  A factored
+        psi[mu] holds its own copy of the core, which in the tensor may be
+        a view into a larger array (``tt_round`` returns such cores)."""
+        psi, factors = [], []
+        for m, f in zip(self.psi, self.factors or [None] * len(self.psi)):
+            if f is None or m.size <= sum(a.size for a in f):
+                psi.append(m)
+                factors.append(None)
+            else:
+                psi.append(None)
+                factors.append((f[0], f[1].copy(), f[2]))
+        return SketchPair(psi, self.omega, self.dims, factors)
+
+    @property
+    def nbytes(self) -> int:
+        held = [m for m in self.psi if m is not None] + list(self.omega)
+        held += [a for f in self.factors or () if f is not None for a in f]
+        return sum(a.nbytes for a in held)
+
+
+def _left_product(lmat: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """L C_mu as an (l n, t) matrix: the product from which ``stream_sketch``
+    forms both the next left contraction and Psi_mu."""
+    return (lmat @ core.reshape(core.shape[0], -1)).reshape(-1, core.shape[2])
 
 
 def stream_sketch(t: TTVector, frame: StreamFrame) -> SketchPair:
@@ -150,7 +196,8 @@ def stream_sketch(t: TTVector, frame: StreamFrame) -> SketchPair:
 
     One left sweep builds L_mu = Y_{<=mu}^T C_{<=mu} and one right sweep
     builds R_mu = C_{>mu}^T X_{>mu}; Psi and Omega are assembled from them
-    without forming any unfolding densely.
+    without forming any unfolding densely.  The pair carries the factors
+    (L_{mu-1}, C_mu, R_{mu+1}) of every Psi_mu beside it.
     """
     if t.dims != frame.dims:
         raise ShapeMismatch(f"tensor dims {t.dims} do not match frame {frame.dims}")
@@ -162,8 +209,7 @@ def stream_sketch(t: TTVector, frame: StreamFrame) -> SketchPair:
     lmats = [np.ones((1, 1))]
     lc = []
     for k in range(d):
-        c = t.cores[k]
-        lc.append((lmats[k] @ c.reshape(c.shape[0], -1)).reshape(-1, c.shape[2]))
+        lc.append(_left_product(lmats[k], t.cores[k]))
         if k < d - 1:
             y = ycores[k]
             lmats.append(y.reshape(-1, y.shape[2]).T @ lc[k])
@@ -176,19 +222,26 @@ def stream_sketch(t: TTVector, frame: StreamFrame) -> SketchPair:
         rmats[k] = cr @ x.reshape(x.shape[0], -1).T
     psi = [lc[mu] @ rmats[mu + 1] for mu in range(d)]
     omega = [lmats[mu] @ rmats[mu] for mu in range(1, d)]
-    return SketchPair(psi, omega, t.dims)
+    factors = [(lmats[mu], t.cores[mu], rmats[mu + 1]) for mu in range(d)]
+    return SketchPair(psi, omega, t.dims, factors)
 
 
 def add_scaled(acc: SketchPair | None, pair: SketchPair, c: float) -> SketchPair:
-    """acc + c * pair for pairs from one frame, in acc's arrays; with no
-    acc, a scaled copy of pair."""
+    """acc + c * pair for pairs from one frame, in acc's arrays (acc holds
+    every psi densely); with no acc, a scaled dense copy of pair.  A
+    factored psi of pair is formed one mode at a time."""
+    d = len(pair.psi)
     if acc is None:
-        return SketchPair([m * c for m in pair.psi], [m * c for m in pair.omega], pair.dims)
-    for mats, into in ((pair.psi, acc.psi), (pair.omega, acc.omega)):
-        if pair.dims != acc.dims or [m.shape for m in mats] != [m.shape for m in into]:
-            raise ShapeMismatch("pairs come from different frames")
-        for k, m in enumerate(mats):
-            into[k] += c * m
+        return SketchPair([pair.psi_matrix(k) * c for k in range(d)],
+                          [m * c for m in pair.omega], pair.dims)
+    # the Omegas' shapes are the frame's ranks, which with the dims fix
+    # every Psi's shape
+    if pair.dims != acc.dims or [m.shape for m in pair.omega] != [m.shape for m in acc.omega]:
+        raise ShapeMismatch("pairs come from different frames")
+    for k in range(d):
+        acc.psi[k] += c * pair.psi_matrix(k)
+    for k, m in enumerate(pair.omega):
+        acc.omega[k] += c * m
     return acc
 
 
@@ -216,7 +269,8 @@ def stream_recover(pair: SketchPair, spec: RoundSpec = RoundSpec(),
     spec so rel_tol/max_rank are honored.
     """
     d = len(pair.psi)
-    if all(np.all(p == 0) for p in pair.psi):
+    psis = [pair.psi_matrix(mu) for mu in range(d)]
+    if all(np.all(p == 0) for p in psis):
         return tt_zero(pair.dims)
     # truncated SVDs of the cross matrices
     left_half = []  # S^{-1/2} U^T, applied to the l index of psi_{mu+1}
@@ -231,8 +285,7 @@ def stream_recover(pair: SketchPair, spec: RoundSpec = RoundSpec(),
         left_half.append(inv_sqrt[:, None] * u.T)
         right_half.append(vt.T * inv_sqrt[None, :])
     cores = []
-    for mu in range(d):
-        psi = pair.psi[mu]
+    for mu, psi in enumerate(psis):
         n = pair.dims[mu]
         r_next = psi.shape[1]
         lm = psi.shape[0] // n
@@ -249,20 +302,27 @@ class StreamedSum:
     """Linear combinations start + sum_i c_i t_i of TT vectors, the terms
     from sketches only.
 
-    ``add`` keeps only the sketch pair of a term against ``frame`` and
-    returns it; ``combine(coeffs)`` forms the combined pair of the first
-    len(coeffs) terms (sketches are linear) and recovers it once, rounded
-    at ``spec``.  A start is kept whole and added to the recovered sum,
-    with one more rounding at ``spec``.
+    ``add`` sketches a term against ``frame`` and keeps (and returns) only
+    its ``SketchPair.kept`` pair: per mode, Psi_mu dense or as its factors,
+    whichever has fewer entries, min(l n r, l t + t n t' + t' r) for a
+    term of ranks t, and the Omegas.  ``combine(coeffs)`` forms the
+    combined pair of the first len(coeffs) terms (sketches are linear),
+    bitwise the pair that the terms' dense sketches would give, and
+    recovers it once, rounded at ``spec``.  A start is kept whole and added
+    to the recovered sum, with one more rounding at ``spec``.  ``nbytes``
+    is the size of the kept pairs.
     """
 
     def __init__(self, frame: StreamFrame, spec: RoundSpec, start: TTVector | None = None):
         self.frame, self.spec, self.start, self._pairs = frame, spec, start, []
 
     def add(self, t: TTVector) -> SketchPair:
-        pair = stream_sketch(t, self.frame)
-        self._pairs.append(pair)
-        return pair
+        self._pairs.append(stream_sketch(t, self.frame).kept())
+        return self._pairs[-1]
+
+    @property
+    def nbytes(self) -> int:
+        return sum(p.nbytes for p in self._pairs)
 
     def combine(self, coeffs) -> TTVector:
         u = stream_recover(combine_pairs(self._pairs[: len(coeffs)], coeffs), self.spec)

@@ -529,7 +529,8 @@ class RoundedSum:
 
     ``add`` keeps a term whole; ``combine(coeffs)`` adds the scaled terms
     to the start one at a time and rounds each partial sum at ``spec``.
-    Without a start the first scaled term is taken as it is.
+    Without a start the first scaled term is taken as it is.  ``nbytes``
+    is the size of the kept terms' cores.
     """
 
     def __init__(self, spec: RoundSpec, start: TTVector | None = None):
@@ -537,6 +538,10 @@ class RoundedSum:
 
     def add(self, t: TTVector) -> None:
         self.terms.append(t)
+
+    @property
+    def nbytes(self) -> int:
+        return sum(c.nbytes for t in self.terms for c in t.cores)
 
     def combine(self, coeffs) -> TTVector:
         x = self.start

@@ -164,7 +164,9 @@ class TestCompare:
         with open(tmp_path / "summary.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["variant"] for r in rows] == ["tt_gmres", "tt_sgmres"]
-        assert {"variant", "iterations", "time", "peak_rank", "converged"} <= set(rows[0])
+        assert {"variant", "iterations", "time", "peak_rank", "kept_mb",
+                "converged"} <= set(rows[0])
+        assert all(float(r["kept_mb"]) > 0 for r in rows)
 
     def test_single_variant_matches_solve(self, tmp_path):
         cfg = write_cfg(
@@ -190,6 +192,10 @@ class TestSweep:
         with open(tmp_path / "sweep.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert [r["value"] for r in rows] == ["2", "3"]
+        assert list(rows[0]) == [
+            "axis", "value", "variant", "time", "iterations",
+            "peak_rank", "kept_mb", "res_sketched", "res_true", "converged",
+        ]
 
     def test_empty_values_exit_1(self, tmp_path):
         cfg = write_cfg(

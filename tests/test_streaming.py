@@ -4,6 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttkrylov import streaming
+from ttkrylov.problems import ConvectionDiffusionSpec, convection_diffusion
+from ttkrylov.sketch import kr_sketch_new
+from ttkrylov.solvers import SolverConfig, tt_sgmres
 from ttkrylov.streaming import (
     LADDER_OVERSAMPLING,
     LADDER_START,
@@ -333,6 +336,75 @@ class TestRecoveryProperties:
         got = acc.combine([0.5, -2.0])
         want = tt_to_dense(start) + 0.5 * tt_to_dense(terms[0]) - 2.0 * tt_to_dense(terms[1])
         assert rel_err(tt_to_dense(got), want) <= 1e-10
+
+
+def _held_entries(pair, mu):
+    if pair.psi[mu] is not None:
+        return pair.psi[mu].size
+    return sum(a.size for a in pair.factors[mu])
+
+
+class TestKeptPairs:
+    @settings(max_examples=60, deadline=None)
+    @given(dims=st.lists(st.integers(2, 9), min_size=2, max_size=5),
+           rank=st.integers(1, 8), frame_rank=st.integers(1, 8),
+           oversampling=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_never_larger_than_dense(self, dims, rank, frame_rank, oversampling, seed):
+        t = tt_random(dims, [rank] * (len(dims) - 1), seed=seed)
+        frame = StreamFrame.create(dims, [frame_rank] * (len(dims) - 1),
+                                   oversampling=oversampling, seed=seed + 1)
+        dense = stream_sketch(t, frame)
+        kept = dense.kept()
+        for mu, m in enumerate(dense.psi):
+            assert _held_entries(kept, mu) <= m.size
+            assert np.array_equal(kept.psi_matrix(mu), m)
+        assert kept.nbytes <= sum(a.nbytes for a in dense.psi + dense.omega)
+
+    def test_combine_bitwise_equal_to_dense_pairs(self):
+        # l = 10, n = 8, r = 6: Psi is kept factored up to rank 5 and dense
+        # from rank 6 on at the interior modes
+        dims = [8, 8, 8, 8]
+        frame = StreamFrame.create(dims, [6, 6, 6], oversampling=4, seed=60)
+        terms = [tt_random(dims, r, seed=61 + i)
+                 for i, r in enumerate([[2, 3, 2], [8, 8, 8], [4, 7, 5], [1, 1, 1]])]
+        coeffs = [0.7, -1.3, 2.1, 0.4]
+        acc = StreamedSum(frame, RoundSpec(1e-8))
+        kept = [acc.add(t) for t in terms]
+        forms = {p.psi[mu] is None for p in kept for mu in range(len(dims))}
+        assert forms == {True, False}
+        dense = [stream_sketch(t, frame) for t in terms]
+        want = combine_pairs(dense, coeffs)
+        got = combine_pairs(kept, coeffs)
+        for a, b in zip(got.psi + got.omega, want.psi + want.omega):
+            assert np.array_equal(a, b)
+        x, y = acc.combine(coeffs), stream_recover(want, RoundSpec(1e-8))
+        assert all(np.array_equal(a, b) for a, b in zip(x.cores, y.cores))
+        assert acc.nbytes == sum(p.nbytes for p in kept)
+        assert acc.nbytes < sum(a.nbytes for p in dense for a in p.psi + p.omega)
+
+    def test_stta_solve_reusing_kept_pairs(self, monkeypatch):
+        # ell = 2 keeps two window entries, the newest one's pair being the
+        # assembly's kept pair; the same solve on dense pairs (kept = self)
+        # must agree bitwise
+        op, rhs = convection_diffusion(ConvectionDiffusionSpec(d=3, n=8))
+        runs, factored = [], []
+        real_kept = SketchPair.kept
+
+        def spy(pair):
+            k = real_kept(pair)
+            factored.append(any(m is None for m in k.psi))
+            return k
+
+        for kept in (spy, lambda pair: pair):
+            monkeypatch.setattr(SketchPair, "kept", kept)
+            cfg = SolverConfig(maxit=30, tol=1e-7, ell=2, seed=14, combine_mode="stta")
+            sk = kr_sketch_new(rhs.dims, cfg.sketch_rows, seed=15)
+            runs.append(tt_sgmres(op, rhs, None, cfg, sk))
+        assert any(factored)
+        (x, rep), (x_dense, rep_dense) = runs
+        assert rep.res_sketched == rep_dense.res_sketched
+        assert all(np.array_equal(a, b) for a, b in zip(x.cores, x_dense.cores))
+        assert 0 < rep.kept_mb < rep_dense.kept_mb
 
 
 # ---------------------------------------------------------------------------
