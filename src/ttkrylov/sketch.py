@@ -50,10 +50,15 @@ def kr_sketch_new(dims, rows: int, seed=0) -> KhatriRaoSketch:
 def kr_apply(s: KhatriRaoSketch, v: TTVector) -> np.ndarray:
     """Apply the sketch to a TT vector, returning a dense length-s vector.
 
-    Per mode, every row keeps a running 1 x r_k state.  A block of rows
-    advances by contracting its states with the core (one matrix product)
-    and then with its factor rows, O(s d n r^2) total.  The intermediate
-    is rows x n x r_{k+1}; blocks of rows keep it within _CHUNK_BUDGET.
+    Per mode, every row keeps a running 1 x r_k state.  A block of b rows
+    advances factor first: its factor rows times the core laid out as
+    n x (r_k r_{k+1}), one (b x n)(n x r_k r_{k+1}) matrix product, then
+    each row's state times its own r_k x r_{k+1} slice of the result.
+    That is 2 s n r_k r_{k+1} + 2 s r_k r_{k+1} flops per mode, and the
+    intermediate holds b x r_k x r_{k+1} floats; blocks of rows keep it
+    within _CHUNK_BUDGET.  Rows do not mix, so the blocking changes no
+    row's arithmetic; only the BLAS kernel a block's size selects can move
+    the last bits.
     """
     if s.dims != v.dims:
         raise ShapeMismatch(f"sketch dims {s.dims} do not match vector {v.dims}")
@@ -61,14 +66,14 @@ def kr_apply(s: KhatriRaoSketch, v: TTVector) -> np.ndarray:
     state = np.ones((rows, 1))
     for f, c in zip(s.factors, v.cores):
         r0, n, r1 = c.shape
-        blocks = -(-rows * n * r1 // _CHUNK_BUDGET)
+        cmat = c.transpose(1, 0, 2).reshape(n, r0 * r1)
+        blocks = -(-rows * r0 * r1 // _CHUNK_BUDGET)
         step = -(-rows // blocks)
         nxt = np.empty((rows, r1))
         for lo in range(0, rows, step):
             blk = slice(lo, lo + step)
-            # (b, r0) x (r0, n, r1) -> (b, n, r1), then the factor rows
-            t = (state[blk] @ c.reshape(r0, n * r1)).reshape(-1, n, r1)
-            nxt[blk] = np.einsum("sn,snt->st", f[blk], t)
+            # (b, n) x (n, r0 r1) -> (b, r0, r1), then each row's state
+            t = (f[blk] @ cmat).reshape(-1, r0, r1)
+            nxt[blk] = np.matmul(state[blk, None, :], t)[:, 0]
         state = nxt
     return state[:, 0]
-

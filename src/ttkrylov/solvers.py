@@ -48,14 +48,18 @@ z_k, and A z_k passes through three parts:
   three factors, whichever is smaller, and recovers the sum once.  The
   report's ``kept_mb`` is the size of what the assembly keeps.
 
-A lucky breakdown ends the run as converged: the orthogonalized vector
-vanishes next to ||A v||, which is taken from the Hessenberg column as
-sqrt(sum_i h_ik^2 + h_new^2) (the window vectors are orthonormal).  Every
-variant also stops, unconverged, at a numerical breakdown: when the newest
-column of M lies in the span of the earlier ones to within the least-squares
-cutoff, the Krylov space has stopped growing.  On Hessenberg columns that
-means the orthogonalized vector kept about 1e-12 of ||A v|| or less, so a
-new basis vector would be rounding noise.
+Whatever the branch, the orthogonalized vector w ends as a ``tt_round``
+output (``stream_recover`` rounds too), whose cores 0..d-2 are
+left-orthonormal, so h_new = ||w|| is the Frobenius norm of its last core,
+not a second sweep of ``tt_norm``.  A lucky breakdown ends the run as
+converged: the orthogonalized vector vanishes next to ||A v||, which is
+taken from the Hessenberg column as sqrt(sum_i h_ik^2 + h_new^2) (the
+window vectors are orthonormal).  Every variant also stops, unconverged,
+at a numerical breakdown: when the newest column of M lies in the span of
+the earlier ones to within the least-squares cutoff, the Krylov space has
+stopped growing.  On Hessenberg columns that means the orthogonalized
+vector kept about 1e-12 of ||A v|| or less, so a new basis vector would be
+rounding noise.
 """
 
 from __future__ import annotations
@@ -75,6 +79,7 @@ from .tt import (
     ShapeMismatch,
     TTOperator,
     TTVector,
+    _norm,
     attainable_ranks,
     check_finite,
     tt_add,
@@ -371,7 +376,9 @@ def _krylov(a, b, x0, cfg: SolverConfig, sketch=None, frame=None, precond=None):
                 report.warnings.append(f"iteration {k}: {_FRAME_CAPS} {capped}")
         elif not relaxed:
             w = timer.timed("round", tt_round, w, spec)
-        hnew = col[k] = tt_norm(w)
+        # w is a tt_round output: cores 0..d-2 are left-orthonormal, so
+        # the norm is that of the last core
+        hnew = col[k] = _norm(w.cores[-1])
         lucky = hnew <= _BREAKDOWN_FACTOR * np.linalg.norm(col)
         if not lucky:
             window.append((k, tt_scale(w, 1.0 / hnew), None))

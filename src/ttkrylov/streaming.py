@@ -339,9 +339,12 @@ class AdaptiveStreamedSum:
     term is held at a time.  ``combine(coeffs)`` tries frames i = 0, 1, ...
     in turn: frame i is ``StreamFrame.create`` with recovery rank
     LADDER_START * 2**i, oversampling LADDER_OVERSAMPLING and seed
-    [seed, i], cut to the sum's rank bound (the full rank, or the sum of
+    [seed, i], cut to the sum's rank bound b (the full rank, or the sum of
     the terms' ranks) by ``leading``.  So each frame is a fresh draw that
-    depends only on the dimensions, the seed and i.  Against each frame it
+    depends only on the dimensions, the seed, i and, from frame 1 on, the
+    bound: a mode's core is drawn at min(LADDER_START * 2**i,
+    max(b, LADDER_START)), not larger than the cut keeps, while frame 0
+    is always drawn at LADDER_START.  Against each frame it
     sketches every term, adds c_i times the pair into one running pair and
     recovers it once (pseudo-inverse cutoff SUM_PINV_RCOND), rounded at
     ``spec.rel_tol``.  The recovery is accepted when, at every mode, the
@@ -368,8 +371,9 @@ class AdaptiveStreamedSum:
                  for m, f in enumerate(attainable_ranks(self.dims), 1)]
         rung = 0
         while True:
-            frame = StreamFrame.create(self.dims, [LADDER_START << rung] * len(bound),
-                                       LADDER_OVERSAMPLING, seed=[self.seed, rung]).leading(bound)
+            ranks = [min(LADDER_START << rung, max(b, LADDER_START)) for b in bound]
+            frame = StreamFrame.create(self.dims, ranks, LADDER_OVERSAMPLING,
+                                       seed=[self.seed, rung]).leading(bound)
             pair = None
             for (t, mats), c in zip(terms, coeffs):
                 term = t if mats is None else mode_multiply(t, mats)

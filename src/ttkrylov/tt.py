@@ -354,17 +354,36 @@ def tt_norm(a: TTVector) -> float:
 
 
 def tt_matvec(a: TTOperator, v: TTVector) -> TTVector:
-    """Apply the operator core by core; output ranks multiply (no rounding)."""
+    """Apply the operator core by core; output ranks multiply (no rounding).
+
+    Output core k is the (rho_k r_k, m_k, rho_{k+1} r_{k+1}) array with
+    entries [(x, a), i, (y, b)] = sum_j D_xy[i, j] C[a, j, b]: the fused
+    rank indices are op rank major.  D_xy = dk[x, :, :, y] are the m x n
+    op-rank blocks and C the vector's core.  Each block's product with C is
+    r_k matrix products (m x n)(n x r_{k+1}), 2 m n r_k r_{k+1} flops,
+    written by the BLAS straight into the output's (x, :, :, y, :) slot, so
+    there is no intermediate and no transposed copy.  Per column y, the
+    products run from the first nonzero block to the last; all-zero blocks
+    outside that run, such as the one of a Kronecker sum's cores [[I, 0],
+    [F, I]], are skipped and their slots set to zero.
+    """
     if a.col_dims != v.dims:
         raise ShapeMismatch(f"operator col_dims {a.col_dims} do not match {v.dims}")
     cores = []
     for dk, ck in zip(a.op_cores, v.cores):
-        rho0, mk, nk, rho1 = dk.shape
+        rho0, m, n, rho1 = dk.shape
         r0, _, r1 = ck.shape
-        # (r0, j, r1) x (rho0, i, j, rho1) over j -> (r0, r1, rho0, i, rho1)
-        g = np.tensordot(ck, dk, axes=([1], [2]))
-        g = g.transpose(0, 2, 3, 1, 4).reshape(r0 * rho0, mk, r1 * rho1)
-        cores.append(g)
+        # the blocks column y by column, each contiguous for the BLAS
+        blocks = np.ascontiguousarray(dk.transpose(3, 0, 1, 2))
+        out = np.empty((rho0, r0, m, rho1, r1))
+        for y, col in enumerate(blocks.reshape(rho1, rho0, -1).any(axis=2).tolist()):
+            nonzero = [x for x, live in enumerate(col) if live]
+            lo, hi = (nonzero[0], nonzero[-1] + 1) if nonzero else (0, 0)
+            if len(nonzero) < rho0:
+                out[:lo, :, :, y] = 0.0
+                out[hi:, :, :, y] = 0.0
+            np.matmul(blocks[y, lo:hi, None], ck, out=out[lo:hi, :, :, y])
+        cores.append(out.reshape(rho0 * r0, m, rho1 * r1))
     return TTVector(cores)
 
 

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ttkrylov import solvers
 from ttkrylov.precond import ExpSumPreconditioner
 from ttkrylov.problems import (
     ConvectionDiffusionSpec,
@@ -223,6 +224,54 @@ class TestReportInvariants:
             assert tracked[1].res_sketched == untracked[1].res_sketched
             assert tracked[1].basis_rank == untracked[1].basis_rank
             assert tracked[1].iterations == untracked[1].iterations
+
+
+def appended_basis(monkeypatch):
+    """The vectors a solve appends to its window, w / h_new: the solver's
+    tt_scale calls whose factor is 1 / (norm of the vector's last core)."""
+    appended, scale = [], solvers.tt_scale
+
+    def spy(a, alpha):
+        out = scale(a, alpha)
+        if alpha == 1.0 / solvers._norm(a.cores[-1]):
+            appended.append(out)
+        return out
+
+    monkeypatch.setattr(solvers, "tt_scale", spy)
+    return appended
+
+
+class TestBasisNormalization:
+    """h_new is taken from the last core of the rounded w, so every
+    appended basis vector must have unit norm."""
+
+    @pytest.mark.parametrize("name,mode", [("gmres", "explicit"), ("sgmres", "explicit"),
+                                           ("sgmres", "stta"), ("spgmres", "explicit"),
+                                           ("spgmres", "stta")])
+    def test_appended_vectors_have_unit_norm(self, monkeypatch, name, mode):
+        spec = ConvectionDiffusionSpec(d=3, n=5)
+        op, rhs = convection_diffusion(spec)
+        cfg = SolverConfig(maxit=12, tol=1e-10, ell=2, seed=4, combine_mode=mode,
+                           solution_rank=12)
+        pre = None
+        if name == "spgmres":
+            pre = ExpSumPreconditioner.from_kron_sum(cd_factor_matrices(spec), 3, RoundSpec(1e-12))
+        appended = appended_basis(monkeypatch)
+        _, rep = run_variant(name, op, rhs, None, cfg, pre)
+        assert rep.iterations >= 5 and len(appended) == rep.iterations
+        for v in appended:
+            assert abs(tt_norm(v) - 1.0) <= 1e-13
+
+    @pytest.mark.parametrize("name,mode", [("gmres", "explicit"), ("sgmres", "explicit"),
+                                           ("sgmres", "stta")])
+    def test_lucky_breakdown_appends_nothing_and_converges(self, monkeypatch, name, mode):
+        dims = [3, 3, 3]
+        b = tt_random(dims, [1, 1], seed=8)
+        cfg = SolverConfig(maxit=6, tol=1e-9, seed=4, combine_mode=mode)
+        appended = appended_basis(monkeypatch)
+        x, rep = run_variant(name, identity_operator(dims), b, None, cfg)
+        assert rep.converged and rep.iterations == 1 and appended == []
+        assert tt_norm(tt_add(x, tt_scale(b, -1.0))) <= 1e-8 * tt_norm(b)
 
 
 class TestEntry:

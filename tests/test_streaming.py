@@ -468,6 +468,33 @@ class TestAdaptiveStreamedSum:
         assert [f.left.ranks for f in frames] == [
             (1, 22, 32, 22, 1), (1, 22, 48, 22, 1), (1, 22, 52, 22, 1)]
 
+    def test_climbing_frames_drawn_within_the_bound(self, monkeypatch):
+        # rank bound 40 at the middle mode, below the full rank 64: frames
+        # 16 and 32 have no room, the third is drawn at 40, not at 64
+        dims = [8, 8, 8, 8]
+        terms = [tt_random(dims, [2, 10, 2], seed=80 + i) for i in range(4)]
+        coeffs = [1.0, 0.5, -2.0, 0.75]
+        drawn, create = [], StreamFrame.create
+
+        def record(cls, *args, **kwargs):
+            drawn.append(create(*args, **kwargs))
+            return drawn[-1]
+
+        monkeypatch.setattr(StreamFrame, "create", classmethod(record))
+        acc = AdaptiveStreamedSum(dims, 3, RoundSpec(1e-8))
+        for t in terms:
+            acc.add(t)
+        got = acc.combine(coeffs)
+        bound = (1, 8, 40, 8, 1)
+        assert got.ranks == bound
+        assert [f.right.ranks[2] for f in drawn] == [16, 32, 40]
+        # no core of any drawn frame is larger than the bound allows
+        for f in drawn:
+            for b, r, lr in zip(bound, f.right.ranks, f.left.ranks):
+                assert r <= b and lr <= b + LADDER_OVERSAMPLING
+        want = sum(c * tt_to_dense(t) for c, t in zip(coeffs, terms))
+        assert rel_err(tt_to_dense(got), want) <= 1e-8 + _RECOVERY_SLACK
+
     def test_low_rank_sum_on_the_first_rung(self, monkeypatch):
         dims = [6, 6, 6, 6]
         base = tt_random(dims, [2, 3, 2], seed=70)

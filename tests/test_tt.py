@@ -315,6 +315,40 @@ class TestMatvec:
             tt_matvec(a, tt_zero([2, 3]))
 
 
+def _zeroed_blocks(a, blocks):
+    """``a`` with the op-rank blocks (core, x, y) set to zero."""
+    cores = [c.copy() for c in a.op_cores]
+    for k, x, y in blocks:
+        cores[k][x, :, :, y] = 0.0
+    return TTOperator(cores)
+
+
+def _matvec_cases():
+    rng = np.random.default_rng(90)
+    dims = [3, 4, 5]
+    kron = kron_sum_operator([rng.standard_normal((n, n)) for n in dims])
+    yield "kron_sum", kron, [2, 3]
+    yield "op_add", tt_op_add(kron, random_operator(dims, dims, [2, 2], seed=91)), [3, 2]
+    yield "op_rank_3", random_operator(dims, dims, [3, 3], seed=92), [2, 2]
+    yield "rectangular", random_operator([2, 3, 4], [4, 3, 2], [3, 2], seed=93), [3, 2]
+    yield "d1", random_operator([4], [6], [], seed=94), []
+    # zero blocks first, between and after nonzero ones in a column, and a
+    # column with no nonzero block at all
+    rank3 = random_operator(dims, dims, [3, 3], seed=95)
+    zeroed = [(1, 0, 0), (1, 2, 0), (1, 1, 1), (1, 0, 2), (1, 1, 2), (1, 2, 2), (2, 1, 0)]
+    yield "zero_blocks", _zeroed_blocks(rank3, zeroed), [3, 2]
+
+
+class TestMatvecOracle:
+    @pytest.mark.parametrize("case", list(_matvec_cases()), ids=lambda c: c[0])
+    def test_against_dense(self, case):
+        _, a, ranks = case
+        v = tt_random(a.col_dims, ranks, seed=96)
+        got = tt_to_dense(tt_matvec(a, v)).ravel()
+        want = tt_op_to_dense(a) @ tt_to_dense(v).ravel()
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
 class TestRound:
     def test_already_minimal(self):
         a = tt_random([4, 4, 4], [2, 2], seed=18)
