@@ -198,8 +198,6 @@ def build_problem(cp):
 
 def build_solver_config(cp, overrides):
     kwargs = _fields_from(SolverConfig, cp, "solver", skip=_SOLVER_SKIP)
-    if overrides.maxit is not None:
-        kwargs.pop("sketch_rows", None)  # the default follows maxit
     for key in ("maxit", "tol", "seed"):
         if getattr(overrides, key) is not None:
             kwargs[key] = getattr(overrides, key)

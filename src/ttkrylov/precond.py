@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import linprog
 
-from .streaming import AdaptiveStreamedSum
+from .streaming import streamed_mode_sum
 # mode_multiply lives in tt; it stays importable from here, where it was
 from .tt import RoundSpec, ShapeMismatch, TTVector, check_finite, mode_multiply  # noqa: F401
 
@@ -308,7 +308,7 @@ class ExpSumPreconditioner:
     Caches the zeta*d factor exponentials exp(-beta_j A_i) at
     construction.  An apply forms the zeta rank-preserving mode products
     (x_i exp(-beta_j A_i)) v and rounds their alpha-weighted sum in one
-    streamed pass, an ``AdaptiveStreamedSum``: the products are sketched
+    streamed pass, ``streamed_mode_sum``: the products are sketched
     against one frame, the weighted sketches added and recovered once at
     the spec's tolerance, and a frame of double the rank is drawn until the
     recovered rank leaves room in it.  The spec's rank cap applies to the
@@ -340,7 +340,8 @@ class ExpSumPreconditioner:
         self.exps = [
             [matrix_exp(-bj * f) for f in self.factors] for bj in self.beta
         ]
-        AdaptiveStreamedSum(self.dims, stream_seed, spec)  # checks the seed; draws nothing
+        if not (isinstance(stream_seed, (int, np.integer)) and stream_seed >= 0):
+            raise ValueError(f"stream_seed must be a nonnegative integer, got {stream_seed!r}")
         self.stream_seed = stream_seed
 
     @property
@@ -367,7 +368,4 @@ class ExpSumPreconditioner:
         check_finite(v)
         if v.dims != self.dims:
             raise ShapeMismatch(f"vector dims {v.dims} do not match {self.dims}")
-        acc = AdaptiveStreamedSum(self.dims, self.stream_seed, self.spec)
-        for e in self.exps:
-            acc.add(v, e)
-        return acc.combine(self.alpha)
+        return streamed_mode_sum(v, self.exps, self.alpha, self.stream_seed, self.spec)

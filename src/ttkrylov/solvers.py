@@ -39,7 +39,7 @@ z_k, and A z_k passes through three parts:
   Tropp, arXiv:2111.00113).
 * assembly: one of the rounding layer's rounded linear combinations of TT
   vectors, started at x0 (the preconditioner's apply uses the third,
-  ``AdaptiveStreamedSum``).  Every solution and every
+  ``streamed_mode_sum``).  Every solution and every
   tracked true residual's x is its ``combine(y)`` = x0 + sum_i y_i z_i, the
   vectors whose images the least squares fitted (flexible GMRES, Saad
   1993): no P^{-1} follows it.  ``RoundedSum`` (``tt``) keeps the z_i and
@@ -158,7 +158,6 @@ class SolveReport:
     res_true: list | None = None  # relative, when tracked
     basis_rank: list = field(default_factory=list)
     times: dict = field(default_factory=lambda: {p: [] for p in PHASES})
-    seed: int = 0
     warnings: list = field(default_factory=list)
     max_resident_basis: int = 0
     kept_mb: float = 0.0
@@ -173,27 +172,25 @@ class SolveReport:
 
 
 class _PhaseTimer:
+    """Adds phase times into the last row of ``report.times``; ``open_row``
+    starts the next row, one per iteration."""
+
     def __init__(self, report):
-        self.report = report
-        self.current = {p: 0.0 for p in PHASES}
+        self.times = report.times
+        self.open_row()
+
+    def open_row(self):
+        for row in self.times.values():
+            row.append(0.0)
 
     def add(self, phase, t0):
-        self.current[phase] += time.perf_counter() - t0
+        self.times[phase][-1] += time.perf_counter() - t0
 
     def timed(self, phase, fn, *args):
         t0 = time.perf_counter()
         out = fn(*args)
         self.add(phase, t0)
         return out
-
-    def flush(self, fold=False):
-        """Close one row of phase times; ``fold`` adds it to the last row."""
-        for p in PHASES:
-            if fold:
-                self.report.times[p][-1] += self.current[p]
-            else:
-                self.report.times[p].append(self.current[p])
-            self.current[p] = 0.0
 
 
 def sketched_lsq(w: np.ndarray, rhs: np.ndarray):
@@ -205,7 +202,7 @@ def sketched_lsq(w: np.ndarray, rhs: np.ndarray):
     if w.ndim != 2 or w.shape[0] < w.shape[1]:
         raise ValueError("need a tall (s >= k) matrix")
     y, _, _, sv = np.linalg.lstsq(w, rhs, rcond=_LSQ_RCOND)
-    return y, float(np.linalg.norm(w @ y - rhs)), sv
+    return y, _norm(w @ y - rhs), sv
 
 
 def true_residual(a: TTOperator, b: TTVector, x: TTVector) -> float:
@@ -274,7 +271,7 @@ class _LeastSquares:
         # means the recurrence has stopped adding directions; past it the
         # fit only absorbs rounding noise
         stalled = self.k > 1 and (
-            sketched_lsq(m[:, :-1], m[:, -1])[1] <= _LSQ_RCOND * np.linalg.norm(m[:, -1])
+            sketched_lsq(m[:, :-1], m[:, -1])[1] <= _LSQ_RCOND * _norm(m[:, -1])
         )
         if sv[-1] < _CONDITION_WATERMARK * sv[0] and not any(
             w.endswith(_RANK_DEFICIENT) for w in self.warnings
@@ -301,8 +298,7 @@ def _krylov(a, b, x0, cfg: SolverConfig, sketch=None, frame=None, precond=None):
     if x0 is not None:
         check_finite(x0)
     t_start = time.perf_counter()
-    report = SolveReport(seed=cfg.seed)
-    timer = _PhaseTimer(report)
+    report = SolveReport()
     x0 = None if _is_zero(x0) else x0
     nb = tt_norm(b)
     r0 = b if x0 is None else tt_add(b, tt_scale(tt_matvec(a, x0), -1.0))
@@ -311,13 +307,14 @@ def _krylov(a, b, x0, cfg: SolverConfig, sketch=None, frame=None, precond=None):
         # b = 0 is solved by x = 0 whatever x0 is; b - A x0 = 0 by x0
         report.converged = True
         return (tt_zero(b.dims) if nb == 0 else x0.copy()), report
+    timer = _PhaseTimer(report)
     relaxed = sketch is None
     if relaxed:
         rhs, scale = np.zeros(cfg.maxit + 1), nb
         rhs[0] = beta
     else:
-        scale = float(np.linalg.norm(timer.timed("sketch", kr_apply, sketch, b)))
         rhs = timer.timed("sketch", kr_apply, sketch, r0)
+        scale = _norm(rhs if x0 is None else timer.timed("sketch", kr_apply, sketch, b))
     lsq = _LeastSquares(rhs, scale, cfg.maxit, report.warnings)
     if frame is None:
         assembly = RoundedSum(RoundSpec(cfg.tol), start=x0)
@@ -338,6 +335,8 @@ def _krylov(a, b, x0, cfg: SolverConfig, sketch=None, frame=None, precond=None):
     pinv = (lambda v: v) if precond is None else precond.apply_inverse
 
     for k in range(1, cfg.maxit + 1):
+        if k > 1:
+            timer.open_row()
         # expand: z = P^{-1} v enters the solution, A z the Krylov space
         i, v, _ = window[-1]
         z = timer.timed("matvec", pinv, v)
@@ -379,7 +378,7 @@ def _krylov(a, b, x0, cfg: SolverConfig, sketch=None, frame=None, precond=None):
         # w is a tt_round output: cores 0..d-2 are left-orthonormal, so
         # the norm is that of the last core
         hnew = col[k] = _norm(w.cores[-1])
-        lucky = hnew <= _BREAKDOWN_FACTOR * np.linalg.norm(col)
+        lucky = hnew <= _BREAKDOWN_FACTOR * _norm(col)
         if not lucky:
             window.append((k, tt_scale(w, 1.0 / hnew), None))
         report.max_resident_basis = max(report.max_resident_basis, len(window))
@@ -393,7 +392,6 @@ def _krylov(a, b, x0, cfg: SolverConfig, sketch=None, frame=None, precond=None):
         if cfg.track_true_residual:
             x = timer.timed("recovery", assembly.combine, lsq.y)
             report.res_true.append(true_residual(a, b, x))
-        timer.flush()
         hit = res <= lsq.scale * cfg.tol
         converged = converged or hit or lucky
         if lucky or ((hit or stalled) and not cfg.force_iterations):
@@ -403,7 +401,6 @@ def _krylov(a, b, x0, cfg: SolverConfig, sketch=None, frame=None, precond=None):
 
     if not cfg.track_true_residual:  # else x is the last tracked iterate
         x = timer.timed("recovery", assembly.combine, lsq.y)
-        timer.flush(fold=True)
     report.converged = converged
     report.iterations = k
     report.kept_mb = assembly.nbytes / 2**20

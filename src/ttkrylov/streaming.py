@@ -7,19 +7,19 @@ sketched term by term, the pairs added, and the sum recovered once, with
 pseudo-inverse core recovery in the style of the generalized Nystrom method
 (Kressner, Vandereycken and Voorhaar, arXiv:2208.02600).
 
-Two of the rounding layer's sums (``add``/``combine``; ``tt.RoundedSum`` is
-the third) are built on this.  ``StreamedSum`` keeps only the sketch pair
-of each term against one fixed frame, as the solvers' solution does.  Each
+Two of the rounding layer's sums are built on this (``tt.RoundedSum`` is
+the third).  ``StreamedSum`` keeps only the sketch pair of each term
+against one fixed frame, as the solvers' solution does.  Each
 Psi_mu = L_{mu-1} C_mu R_{mu+1} of a kept pair is held in whichever form
 has fewer entries: the dense (l n) x r matrix, or its three factors (the
 left contraction, the term's core, the right contraction).  So a term of
 ranks t costs sum_mu min(l n r, l t + t n t' + t' r) entries besides its
 Omegas, and the sum rebuilds each factored Psi with the products of
 ``stream_sketch``, bitwise the same matrix.
-``AdaptiveStreamedSum`` keeps the terms and streams them through frames
-of doubling rank, each drawn by ``StreamFrame.create``, climbing until an
-a-posteriori check shows the frame had room for the sum, as the
-preconditioner's apply does.
+``streamed_mode_sum``, the preconditioner's apply, sums mode products of
+one tensor: it streams them through frames of doubling rank, each drawn by
+``StreamFrame.create``, climbing until an a-posteriori check shows the
+frame had room for the sum.
 """
 
 from __future__ import annotations
@@ -39,14 +39,14 @@ from .tt import (
 
 # Relative singular-value cutoff for the cross-matrix pseudo-inverses.
 PINV_RCOND = 1e-12
-# The cutoff of AdaptiveStreamedSum, near roundoff.  Its sums can span many
+# The cutoff of streamed_mode_sum, near roundoff.  Its sums can span many
 # orders of magnitude (the preconditioner amplifies the slowest mode of a
 # Markov chain by ~3.5e6), and cutting their cross matrices at PINV_RCOND
 # dropped real components: the markov4-spgmres applies then varied enough
 # from call to call that 3 of 200 solve seeds missed the breakdown stop at
 # iteration 6 (none of 500 with this cutoff).
 SUM_PINV_RCOND = 1e-14
-# AdaptiveStreamedSum: the first frame's recovery rank (frame i has
+# streamed_mode_sum: the first frame's recovery rank (frame i has
 # LADDER_START * 2**i) and every frame's left oversampling.  Inside a
 # markov4-spgmres solve most preconditioner applies (results of rank 2-14)
 # end on the first frame; with oversampling 8 or 12 some applies there
@@ -149,7 +149,7 @@ class SketchPair:
     ``kept`` holds per mode only the form with fewer entries, l n r
     against l t + t n t' + t' r, leaving psi[mu] None where it holds the
     factors; ``psi_matrix`` gives the dense matrix of either form, bitwise
-    the same.  Pairs from the same frame add entrywise (``add_scaled``).
+    the same.  Pairs from the same frame add entrywise (``combine_pairs``).
     """
 
     def __init__(self, psi, omega, dims, factors=None):
@@ -226,32 +226,26 @@ def stream_sketch(t: TTVector, frame: StreamFrame) -> SketchPair:
     return SketchPair(psi, omega, t.dims, factors)
 
 
-def add_scaled(acc: SketchPair | None, pair: SketchPair, c: float) -> SketchPair:
-    """acc + c * pair for pairs from one frame, in acc's arrays (acc holds
-    every psi densely); with no acc, a scaled dense copy of pair.  A
-    factored psi of pair is formed one mode at a time."""
-    d = len(pair.psi)
-    if acc is None:
-        return SketchPair([pair.psi_matrix(k) * c for k in range(d)],
-                          [m * c for m in pair.omega], pair.dims)
-    # the Omegas' shapes are the frame's ranks, which with the dims fix
-    # every Psi's shape
-    if pair.dims != acc.dims or [m.shape for m in pair.omega] != [m.shape for m in acc.omega]:
-        raise ShapeMismatch("pairs come from different frames")
-    for k in range(d):
-        acc.psi[k] += c * pair.psi_matrix(k)
-    for k, m in enumerate(pair.omega):
-        acc.omega[k] += c * m
-    return acc
-
-
 def combine_pairs(pairs, coeffs) -> SketchPair:
-    """Entrywise weighted sum of sketch pairs from one frame."""
-    if len(pairs) != len(coeffs) or not pairs:
-        raise ValueError("need matching, nonempty pairs and coeffs")
+    """Entrywise weighted sum of sketch pairs from one frame, with every psi
+    dense.  ``pairs`` may be any iterable: a generator keeps one pair alive
+    at a time, and a factored psi is formed one mode at a time."""
     acc = None
-    for p, c in zip(pairs, coeffs):
-        acc = add_scaled(acc, p, c)
+    for p, c in zip(pairs, coeffs, strict=True):
+        if acc is None:
+            acc = SketchPair([p.psi_matrix(k) * c for k in range(len(p.psi))],
+                             [m * c for m in p.omega], p.dims)
+            continue
+        # the Omegas' shapes are the frame's ranks, which with the dims fix
+        # every Psi's shape
+        if p.dims != acc.dims or [m.shape for m in p.omega] != [m.shape for m in acc.omega]:
+            raise ShapeMismatch("pairs come from different frames")
+        for k in range(len(p.psi)):
+            acc.psi[k] += c * p.psi_matrix(k)
+        for k, m in enumerate(p.omega):
+            acc.omega[k] += c * m
+    if acc is None:
+        raise ValueError("need at least one pair")
     return acc
 
 
@@ -329,57 +323,40 @@ class StreamedSum:
         return u if self.start is None else tt_round(tt_add(self.start, u), self.spec)
 
 
-class AdaptiveStreamedSum:
-    """Linear combinations sum_i c_i t_i of TT vectors by one streamed
-    rounding whose frame grows until it has room for the sum.
+def streamed_mode_sum(v: TTVector, matrices, coeffs, seed, spec: RoundSpec) -> TTVector:
+    """sum_i c_i M_i v for the mode products M_i v = ``mode_multiply(v,
+    matrices[i])``, by one streamed rounding whose frame grows until it has
+    room for the sum.
 
-    ``add(t, matrices)`` keeps a term: t itself, or, with one matrix per
-    mode, the mode product of t with them (``mode_multiply``), which is
-    formed afresh whenever it is sketched, so that no more than one such
-    term is held at a time.  ``combine(coeffs)`` tries frames i = 0, 1, ...
-    in turn: frame i is ``StreamFrame.create`` with recovery rank
+    Mode products keep v's ranks, so the sum's rank bound b is, per mode,
+    min(full rank, len(matrices) * rank of v).  Frames i = 0, 1, ... are
+    tried in turn: frame i is ``StreamFrame.create`` with recovery rank
     LADDER_START * 2**i, oversampling LADDER_OVERSAMPLING and seed
-    [seed, i], cut to the sum's rank bound b (the full rank, or the sum of
-    the terms' ranks) by ``leading``.  So each frame is a fresh draw that
+    [seed, i], cut to b by ``leading``.  So each frame is a fresh draw that
     depends only on the dimensions, the seed, i and, from frame 1 on, the
     bound: a mode's core is drawn at min(LADDER_START * 2**i,
-    max(b, LADDER_START)), not larger than the cut keeps, while frame 0
-    is always drawn at LADDER_START.  Against each frame it
-    sketches every term, adds c_i times the pair into one running pair and
-    recovers it once (pseudo-inverse cutoff SUM_PINV_RCOND), rounded at
+    max(b, LADDER_START)), not larger than the cut keeps, while frame 0 is
+    always drawn at LADDER_START.  Against each frame every product is
+    formed and sketched in turn, so that no more than one is held at a
+    time, c_i times its pair is added into one running pair, and that is
+    recovered once (pseudo-inverse cutoff SUM_PINV_RCOND), rounded at
     ``spec.rel_tol``.  The recovery is accepted when, at every mode, the
-    recovered rank leaves at least max(4, r/4) of the frame's recovery
-    rank r unused, or the frame already reaches the rank bound, where
-    recovery is exact.  Only then is the result cut to ``spec.max_rank``,
-    so that the cap never makes the frame grow.
+    recovered rank leaves at least max(4, r/4) of the frame's recovery rank
+    r unused, or the frame already reaches the rank bound, where recovery
+    is exact.  Only then is the result cut to ``spec.max_rank``, so that
+    the cap never makes the frame grow.
     """
-
-    def __init__(self, dims, seed, spec: RoundSpec):
-        if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-            raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
-        self.dims, self.seed, self.spec, self.terms = tuple(dims), seed, spec, []
-
-    def add(self, t: TTVector, matrices=None) -> None:
-        self.terms.append((t, matrices))
-
-    def combine(self, coeffs) -> TTVector:
-        terms = self.terms[: len(coeffs)]
-        if not terms:
-            raise ValueError("need at least one term")
-        # mode products keep the ranks of t
-        bound = [min(f, sum(t.ranks[m] for t, _ in terms))
-                 for m, f in enumerate(attainable_ranks(self.dims), 1)]
-        rung = 0
-        while True:
-            ranks = [min(LADDER_START << rung, max(b, LADDER_START)) for b in bound]
-            frame = StreamFrame.create(self.dims, ranks, LADDER_OVERSAMPLING,
-                                       seed=[self.seed, rung]).leading(bound)
-            pair = None
-            for (t, mats), c in zip(terms, coeffs):
-                term = t if mats is None else mode_multiply(t, mats)
-                pair = add_scaled(pair, stream_sketch(term, frame), float(c))
-            u = stream_recover(pair, RoundSpec(self.spec.rel_tol), SUM_PINV_RCOND)
-            room = zip(u.ranks[1:-1], frame.right.ranks[1:-1], bound)
-            if all(r >= b or k <= r - max(4, r // 4) for k, r, b in room):
-                return u if self.spec.max_rank is None else tt_round(u, self.spec)
-            rung += 1
+    bound = [min(f, len(matrices) * r)
+             for f, r in zip(attainable_ranks(v.dims), v.ranks[1:-1])]
+    rung = 0
+    while True:
+        ranks = [min(LADDER_START << rung, max(b, LADDER_START)) for b in bound]
+        frame = StreamFrame.create(v.dims, ranks, LADDER_OVERSAMPLING,
+                                   seed=[seed, rung]).leading(bound)
+        pair = combine_pairs((stream_sketch(mode_multiply(v, m), frame) for m in matrices),
+                             coeffs)
+        u = stream_recover(pair, RoundSpec(spec.rel_tol), SUM_PINV_RCOND)
+        room = zip(u.ranks[1:-1], frame.right.ranks[1:-1], bound)
+        if all(r >= b or k <= r - max(4, r // 4) for k, r, b in room):
+            return u if spec.max_rank is None else tt_round(u, spec)
+        rung += 1

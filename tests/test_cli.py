@@ -268,3 +268,55 @@ class TestTraceColumns:
         with open(tmp_path / "run.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert all(float(r["t_recovery"]) > 0 for r in rows)
+
+
+class TestOverrides:
+    def overrides(self, **kw):
+        return argparse.Namespace(**{**vars(NO_OVERRIDES), **kw})
+
+    def config(self, extra=""):
+        cp = configparser.ConfigParser()
+        cp.read_string(BASE_PDE.replace("[output]", extra + "\n[output]"))
+        return cp
+
+    def test_maxit_tol_seed_reach_config(self):
+        cfg = build_solver_config(self.config(), self.overrides(maxit=80, tol=1e-4, seed=11))
+        assert (cfg.maxit, cfg.tol, cfg.seed) == (80, 1e-4, 11)
+
+    def test_unset_sketch_rows_follows_maxit(self):
+        cfg = build_solver_config(self.config(), self.overrides(maxit=80))
+        assert cfg.sketch_rows == 160
+
+    def test_explicit_sketch_rows_kept(self):
+        cfg = build_solver_config(self.config("sketch_rows = 400"), self.overrides(maxit=80))
+        assert cfg.sketch_rows == 400
+
+    def test_explicit_sketch_rows_below_maxit_exits_1(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "rows.cfg",
+                        BASE_PDE.replace("[output]", "sketch_rows = 100\n\n[output]"))
+        assert main(["solve", cfg, "--out-dir", str(tmp_path), "--maxit", "120"]) == 1
+        assert capsys.readouterr().err == (
+            "config error: invalid solver configuration: sketch_rows must exceed maxit\n")
+        assert not (tmp_path / "run.csv").exists()
+
+
+class TestPreconditionedSolve:
+    SPGMRES = BASE_PDE.replace("type = tt_sgmres", "type = tt_spgmres")
+
+    def test_spgmres_writes_trace(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "p.cfg",
+                        self.SPGMRES + "\n[preconditioner]\ntype = expsum\nzeta = 3\n")
+        assert main(["solve", cfg, "--out-dir", str(tmp_path)]) == 0
+        assert "tt_spgmres: iterations=" in capsys.readouterr().out
+        with open(tmp_path / "run.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == CSV_HEADER
+        assert len(rows) > 1
+
+    @pytest.mark.parametrize("section", ["", "\n[preconditioner]\ntype = none\n"],
+                             ids=["missing", "none"])
+    def test_spgmres_without_preconditioner_exits_1(self, tmp_path, capsys, section):
+        cfg = write_cfg(tmp_path / "q.cfg", self.SPGMRES + section)
+        assert main(["solve", cfg, "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: tt_spgmres requires an expsum [preconditioner]\n")

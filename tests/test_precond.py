@@ -534,5 +534,7 @@ class TestStreamedApply:
         assert p.stream_seed == 0
 
     def test_bad_stream_seed(self):
-        with pytest.raises(ValueError, match="nonnegative integer"):
-            ExpSumPreconditioner([laplacian(3)] * 2, [1.0], [0.5], RoundSpec(1e-8), stream_seed=-1)
+        for seed in (-1, 1.5, "0"):
+            with pytest.raises(ValueError, match="nonnegative integer"):
+                ExpSumPreconditioner([laplacian(3)] * 2, [1.0], [0.5], RoundSpec(1e-8),
+                                     stream_seed=seed)

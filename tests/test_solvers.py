@@ -1,7 +1,10 @@
+import functools
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ttkrylov import solvers
 from ttkrylov.precond import ExpSumPreconditioner
@@ -575,3 +578,53 @@ class TestNonFiniteInput:
         x0.cores[0][0, 0, 0] = np.inf
         with pytest.raises(NonFiniteCore, match="core 0"):
             tt_gmres(op, rhs, x0, SolverConfig(maxit=10, tol=1e-6))
+
+
+# ---------------------------------------------------------------------------
+# extreme magnitudes: a solve of s b returns s x, and stops where b's does
+
+MAGNITUDE_RUNS = [("gmres", "explicit"), ("vanilla", "explicit"), ("sgmres", "explicit"),
+                  ("sgmres", "stta"), ("spgmres", "explicit"), ("spgmres", "stta")]
+
+
+@functools.cache
+def magnitude_problem():
+    """CD d=3, n=5 with a zeta=3 preconditioner, and the iteration count of
+    every variant at b itself."""
+    spec = ConvectionDiffusionSpec(d=3, n=5)
+    op, rhs = convection_diffusion(spec)
+    pre = ExpSumPreconditioner.from_kron_sum(cd_factor_matrices(spec), 3, RoundSpec(0.3e-6))
+    iterations = {}
+    for name, mode in MAGNITUDE_RUNS:
+        _, rep = solve_scaled(op, rhs, pre, name, mode, 1.0)
+        assert rep.converged
+        iterations[name, mode] = rep.iterations
+    return op, rhs, pre, iterations
+
+
+def solve_scaled(op, rhs, pre, name, mode, s):
+    cfg = SolverConfig(maxit=40, tol=1e-6, seed=0, combine_mode=mode)
+    return run_variant(name, op, tt_scale(rhs, s), None, cfg, pre)
+
+
+class TestExtremeMagnitudes:
+    # before the driver's norms were overflow-safe, b scaled by 1e200
+    # converged after one iteration with a wrong x, and b scaled by 1e-200
+    # raised ZeroDivisionError in the sketched variants
+    @pytest.mark.parametrize("s", [1e200, 1e300, 1e-200, 1e-300])
+    @pytest.mark.parametrize("name,mode", MAGNITUDE_RUNS)
+    def test_scaled_rhs_stops_where_b_does(self, name, mode, s):
+        op, rhs, pre, iterations = magnitude_problem()
+        x, rep = solve_scaled(op, rhs, pre, name, mode, s)
+        assert rep.converged
+        assert rep.iterations == iterations[name, mode]
+        assert true_residual(op, rhs, tt_scale(x, 1.0 / s)) <= 1e-5
+
+    @settings(max_examples=15, deadline=None)
+    @given(k=st.integers(-1000, 1000))
+    def test_power_of_two_scaling(self, k):
+        op, rhs, pre, iterations = magnitude_problem()
+        for name, mode in MAGNITUDE_RUNS:
+            _, rep = solve_scaled(op, rhs, pre, name, mode, 2.0**k)
+            assert rep.converged
+            assert rep.iterations == iterations[name, mode]

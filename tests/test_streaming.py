@@ -10,7 +10,6 @@ from ttkrylov.solvers import SolverConfig, tt_sgmres
 from ttkrylov.streaming import (
     LADDER_OVERSAMPLING,
     LADDER_START,
-    AdaptiveStreamedSum,
     DegenerateRecovery,
     SketchPair,
     StreamedSum,
@@ -18,11 +17,13 @@ from ttkrylov.streaming import (
     combine_pairs,
     stream_recover,
     stream_sketch,
+    streamed_mode_sum,
     tt_drm_new,
 )
 from ttkrylov.tt import (
     RoundSpec,
     ShapeMismatch,
+    mode_multiply,
     tt_add,
     tt_norm,
     tt_random,
@@ -196,6 +197,25 @@ class TestCombine:
         b = stream_sketch(tt_random([3, 3], [1], seed=19), f2)
         with pytest.raises(ShapeMismatch):
             combine_pairs([a, b], [1.0, 1.0])
+
+    def test_generator_gives_the_same_pair(self):
+        frame = StreamFrame.create([3, 3, 3], [3, 3], oversampling=4, seed=12)
+        vs = [tt_random([3, 3, 3], [2, 2], seed=30 + i) for i in range(3)]
+        coeffs = [0.5, -2.0, 1.5]
+        want = combine_pairs([stream_sketch(v, frame) for v in vs], coeffs)
+        got = combine_pairs((stream_sketch(v, frame) for v in vs), coeffs)
+        for a, b in zip(got.psi + got.omega, want.psi + want.omega):
+            assert np.array_equal(a, b)
+
+    def test_lengths_must_match(self):
+        frame = StreamFrame.create([3, 3], [2], oversampling=2, seed=16)
+        pairs = [stream_sketch(tt_random([3, 3], [2], seed=18 + i), frame) for i in range(2)]
+        with pytest.raises(ValueError):
+            combine_pairs(pairs, [1.0])
+        with pytest.raises(ValueError):
+            combine_pairs(pairs[:1], [1.0, 2.0])
+        with pytest.raises(ValueError, match="at least one pair"):
+            combine_pairs([], [])
 
 
 class TestRecover:
@@ -427,7 +447,7 @@ class TestLeading:
 
 
 def recorded_frames(monkeypatch):
-    """The frames AdaptiveStreamedSum sketches against, in order."""
+    """The frames streamed_mode_sum sketches against, in order."""
     frames, sketch = [], streaming.stream_sketch
 
     def record(t, frame):
@@ -439,22 +459,33 @@ def recorded_frames(monkeypatch):
     return frames
 
 
+def random_matrices(dims, count, seed):
+    """``count`` lists of one random square matrix per mode."""
+    rng = np.random.default_rng(seed)
+    return [[rng.standard_normal((n, n)) for n in dims] for _ in range(count)]
+
+
+def dense_mode_sum(v, matrices, coeffs):
+    return sum(c * tt_to_dense(mode_multiply(v, m)) for c, m in zip(coeffs, matrices))
+
+
 def full_rank_sum(monkeypatch):
-    # the sum has the full rank 36 at the middle mode: the first two
-    # frames (16, 32) have no room for it, the third reaches it exactly
+    # the rank bound is 4 * 9 = 36 at the middle mode, the full rank, and
+    # the sum reaches it: the first two frames (16, 32) have no room for
+    # it, the third reaches it exactly
     dims = [6, 6, 6, 6]
-    terms = [tt_random(dims, [3, 9, 3], seed=60 + i) for i in range(4)]
+    v = tt_random(dims, [3, 9, 3], seed=60)
+    matrices = random_matrices(dims, 4, seed=61)
     coeffs = [1.0, -0.5, 2.0, 0.25]
     frames = recorded_frames(monkeypatch)
-    acc = AdaptiveStreamedSum(dims, 5, RoundSpec(1e-8))
-    for t in terms:
-        acc.add(t)
-    got = acc.combine(coeffs)
-    want = sum(c * tt_to_dense(t) for c, t in zip(coeffs, terms))
-    return got, want, frames
+    got = streamed_mode_sum(v, matrices, coeffs, 5, RoundSpec(1e-8))
+    return got, dense_mode_sum(v, matrices, coeffs), frames
 
 
 class TestAdaptiveStreamedSum:
+    """``streamed_mode_sum``: the rank-adaptive streamed sum of the
+    preconditioner's apply."""
+
     def test_grows_to_the_full_rank(self, monkeypatch):
         got, want, _ = full_rank_sum(monkeypatch)
         assert got.ranks == (1, 6, 36, 6, 1)
@@ -469,10 +500,12 @@ class TestAdaptiveStreamedSum:
             (1, 22, 32, 22, 1), (1, 22, 48, 22, 1), (1, 22, 52, 22, 1)]
 
     def test_climbing_frames_drawn_within_the_bound(self, monkeypatch):
-        # rank bound 40 at the middle mode, below the full rank 64: frames
-        # 16 and 32 have no room, the third is drawn at 40, not at 64
+        # rank bound 4 * 10 = 40 at the middle mode, below the full rank
+        # 64: frames 16 and 32 have no room, the third is drawn at 40, not
+        # at 64
         dims = [8, 8, 8, 8]
-        terms = [tt_random(dims, [2, 10, 2], seed=80 + i) for i in range(4)]
+        v = tt_random(dims, [2, 10, 2], seed=80)
+        matrices = random_matrices(dims, 4, seed=81)
         coeffs = [1.0, 0.5, -2.0, 0.75]
         drawn, create = [], StreamFrame.create
 
@@ -481,10 +514,7 @@ class TestAdaptiveStreamedSum:
             return drawn[-1]
 
         monkeypatch.setattr(StreamFrame, "create", classmethod(record))
-        acc = AdaptiveStreamedSum(dims, 3, RoundSpec(1e-8))
-        for t in terms:
-            acc.add(t)
-        got = acc.combine(coeffs)
+        got = streamed_mode_sum(v, matrices, coeffs, 3, RoundSpec(1e-8))
         bound = (1, 8, 40, 8, 1)
         assert got.ranks == bound
         assert [f.right.ranks[2] for f in drawn] == [16, 32, 40]
@@ -492,48 +522,55 @@ class TestAdaptiveStreamedSum:
         for f in drawn:
             for b, r, lr in zip(bound, f.right.ranks, f.left.ranks):
                 assert r <= b and lr <= b + LADDER_OVERSAMPLING
-        want = sum(c * tt_to_dense(t) for c, t in zip(coeffs, terms))
+        want = dense_mode_sum(v, matrices, coeffs)
         assert rel_err(tt_to_dense(got), want) <= 1e-8 + _RECOVERY_SLACK
 
     def test_low_rank_sum_on_the_first_rung(self, monkeypatch):
+        # the products differ only at the last mode, so the sum keeps v's
+        # ranks (4 at the middle mode), well below the bound 5 * 4 = 20
         dims = [6, 6, 6, 6]
-        base = tt_random(dims, [2, 3, 2], seed=70)
-        terms = [tt_add(tt_scale(base, 1.0 + i), tt_random(dims, [1, 1, 1], seed=71 + i))
-                 for i in range(5)]
-        frames = recorded_frames(monkeypatch)
-        acc = AdaptiveStreamedSum(dims, 6, RoundSpec(1e-9))
-        for t in terms:
-            acc.add(t)
+        v = tt_random(dims, [2, 4, 2], seed=70)
+        rng = np.random.default_rng(71)
+        matrices = [[np.eye(6)] * 3 + [rng.standard_normal((6, 6))] for _ in range(5)]
         coeffs = [0.5, -1.0, 0.25, 2.0, -0.75]
-        got = acc.combine(coeffs)
-        want = sum(c * tt_to_dense(t) for c, t in zip(coeffs, terms))
+        frames = recorded_frames(monkeypatch)
+        got = streamed_mode_sum(v, matrices, coeffs, 6, RoundSpec(1e-9))
         assert max(got.ranks) <= 12  # room left in the rank-16 frame
         assert len(frames) == 1
+        want = dense_mode_sum(v, matrices, coeffs)
         assert rel_err(tt_to_dense(got), want) <= 1e-9 + _RECOVERY_SLACK
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "0"])
-    def test_bad_seed(self, seed):
-        with pytest.raises(ValueError, match="nonnegative integer"):
-            AdaptiveStreamedSum([4, 4, 4], seed, RoundSpec(1e-8))
+    def test_products_formed_one_at_a_time(self, monkeypatch):
+        # each mode product is formed just before it is sketched
+        events, multiply, sketch = [], streaming.mode_multiply, streaming.stream_sketch
+        monkeypatch.setattr(streaming, "mode_multiply",
+                            lambda t, m: events.append("form") or multiply(t, m))
+        monkeypatch.setattr(streaming, "stream_sketch",
+                            lambda t, f: events.append("sketch") or sketch(t, f))
+        dims = [4, 4, 4]
+        v = tt_random(dims, [2, 2], seed=3)
+        streamed_mode_sum(v, random_matrices(dims, 3, seed=4), [1.0, 2.0, 3.0], 0,
+                          RoundSpec(1e-8))
+        assert events == ["form", "sketch"] * 3
 
     def test_seed_picks_the_maps(self, monkeypatch):
         dims = [4, 4, 4]
-        t = tt_random(dims, [2, 2], seed=1)
+        v = tt_random(dims, [2, 2], seed=1)
+        matrices = [[np.eye(4)] * 3]
         frames = recorded_frames(monkeypatch)
         for seed in (0, 1):
-            acc = AdaptiveStreamedSum(dims, seed, RoundSpec(1e-8))
-            acc.add(t)
-            acc.combine([1.0])
+            streamed_mode_sum(v, matrices, [1.0], seed, RoundSpec(1e-8))
         assert len(frames) == 2
         assert not np.array_equal(frames[0].right.cores[1], frames[1].right.cores[1])
-        # the first frame is a plain StreamFrame drawn from [seed, 0]
+        # the first frame is a plain StreamFrame drawn from [seed, 0], cut
+        # to the bound 1 * 2
         want = StreamFrame.create(dims, [LADDER_START] * 2, LADDER_OVERSAMPLING, seed=[1, 0])
         want = want.leading([2, 2])
         for a, b in zip(frame_cores(frames[1]), frame_cores(want)):
             assert np.array_equal(a, b)
 
     def test_zero_sum(self):
-        acc = AdaptiveStreamedSum([3, 3, 3], 0, RoundSpec(1e-8))
-        acc.add(tt_random([3, 3, 3], [2, 2], seed=1))
-        got = acc.combine([0.0])
+        v = tt_random([3, 3, 3], [2, 2], seed=1)
+        got = streamed_mode_sum(v, random_matrices([3, 3, 3], 2, seed=2), [0.0, 0.0], 0,
+                                RoundSpec(1e-8))
         assert np.all(tt_to_dense(got) == 0)
