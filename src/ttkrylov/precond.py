@@ -23,7 +23,7 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import linprog
 
-from .streaming import streamed_mode_sum
+from .streaming import check_seed, streamed_mode_sum
 # mode_multiply lives in tt; it stays importable from here, where it was
 from .tt import RoundSpec, ShapeMismatch, TTVector, check_finite, mode_multiply  # noqa: F401
 
@@ -340,8 +340,7 @@ class ExpSumPreconditioner:
         self.exps = [
             [matrix_exp(-bj * f) for f in self.factors] for bj in self.beta
         ]
-        if not (isinstance(stream_seed, (int, np.integer)) and stream_seed >= 0):
-            raise ValueError(f"stream_seed must be a nonnegative integer, got {stream_seed!r}")
+        check_seed(stream_seed, "stream_seed")
         self.stream_seed = stream_seed
 
     @property

@@ -55,6 +55,12 @@ LADDER_START = 16
 LADDER_OVERSAMPLING = 16
 
 
+def check_seed(seed, name: str = "seed") -> None:
+    """Raise ValueError unless seed is a nonnegative integer."""
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"{name} must be a nonnegative integer, got {seed!r}")
+
+
 class DegenerateRecovery(ValueError):
     """Recovery hit an all-zero cross matrix against nonzero sketches."""
 
@@ -344,8 +350,10 @@ def streamed_mode_sum(v: TTVector, matrices, coeffs, seed, spec: RoundSpec) -> T
     recovered rank leaves at least max(4, r/4) of the frame's recovery rank
     r unused, or the frame already reaches the rank bound, where recovery
     is exact.  Only then is the result cut to ``spec.max_rank``, so that
-    the cap never makes the frame grow.
+    the cap never makes the frame grow.  ``seed`` must be a nonnegative
+    integer.
     """
+    check_seed(seed)
     bound = [min(f, len(matrices) * r)
              for f, r in zip(attainable_ranks(v.dims), v.ranks[1:-1])]
     rung = 0

@@ -553,6 +553,12 @@ class TestAdaptiveStreamedSum:
                           RoundSpec(1e-8))
         assert events == ["form", "sketch"] * 3
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "0"])
+    def test_bad_seed(self, seed):
+        v = tt_random([4, 4, 4], [2, 2], seed=1)
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            streamed_mode_sum(v, [[np.eye(4)] * 3], [1.0], seed, RoundSpec(1e-8))
+
     def test_seed_picks_the_maps(self, monkeypatch):
         dims = [4, 4, 4]
         v = tt_random(dims, [2, 2], seed=1)
