@@ -283,7 +283,8 @@ def run_table(cp, args, table, axis=None, values=(None,), traces=False):
 
     The variants are the [compare] list, else the [solver] type.  Without
     an axis the config itself is the only point.  With ``traces`` each
-    run's iteration trace goes to ``<variant>.csv``.
+    run's iteration trace goes to ``<variant>.csv``.  Each run's warnings
+    are printed after its summary line.
     """
     if "compare" in cp:
         variants = [v.strip() for v in _get(cp, "compare", "variants", required=True).split(",")]
@@ -309,6 +310,8 @@ def run_table(cp, args, table, axis=None, values=(None,), traces=False):
             if traces:
                 write_trace(os.path.join(out_dir, f"{name}.csv"), report)
             print(prefix + summary_line(name, report, wall))
+            for w in report.warnings:
+                print(f"warning: {w}")
             final_true = f"{report.res_true[-1]:.6e}" if report.res_true else ""
             rows.append([
                 axis or "", value or "", name, f"{wall:.4f}", report.iterations,

@@ -6,13 +6,12 @@ rank-preserving mode multiplications with cached matrix exponentials.  An
 apply rounds that sum in one streamed pass (``ExpSumPreconditioner``).
 
 The fit (``expsum_coeffs``) places the nodes beta_j by a pattern search over
-geometric ladders.  For each ladder the best nonnegative weights on a grid
-come from a discrete linear Remez exchange (``_exchange_weights``); a linear
-program (``_minimax_weights``) settles only the ladders the exchange cannot:
-those with a negative weight that a lower bound does not rule out, and
-those where rounding stops the exchange.  The search does no work that
-cannot change its result: a ladder's exchange stops as soon as its lower
-bound loses to the best ladder so far, and no ladder is scored twice.
+geometric ladders.  For each ladder nonnegative minimax weights on a grid
+come from a discrete linear Remez exchange (``_exchange_weights``) run on an
+active set of nodes (``_window_weights``): a node whose weight comes out
+negative is dropped and the exchange run again.  The search does no work
+that cannot change its result: a ladder's exchange stops as soon as its
+lower bound loses to the best ladder so far, and no ladder is scored twice.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import operator
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import linprog
+from scipy.optimize import nnls
 
 from .streaming import check_seed, streamed_mode_sum
 # mode_multiply lives in tt; it stays importable from here, where it was
@@ -71,38 +70,6 @@ def _ladder(u, v, lo, hi, zeta):
     return np.geomspace(bmin, bmax, zeta)
 
 
-def _minimax_weights(bs):
-    """Best nonnegative weights for the scaled basis ``bs`` by a linear
-    program: minimise t subject to |bs @ a - 1| <= t, a >= 0.
-
-    The fallback of ``_window_weights`` when the exchange cannot settle a
-    window.  Returns (a, t), or (None, inf) if the solver fails.
-    """
-    npts, m = bs.shape
-    cost = np.zeros(m + 1)
-    cost[-1] = 1.0
-    a_ub = np.vstack(
-        [
-            np.hstack([bs, -np.ones((npts, 1))]),
-            np.hstack([-bs, -np.ones((npts, 1))]),
-        ]
-    )
-    b_ub = np.concatenate([np.ones(npts), -np.ones(npts)])
-    res = linprog(
-        cost,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        bounds=[(0, None)] * m + [(0, None)],
-        method="highs",
-        # at its default tolerances HiGHS stops up to ~1 % above the optimum
-        options={"primal_feasibility_tolerance": 1e-10,
-                 "dual_feasibility_tolerance": 1e-10},
-    )
-    if res.status != 0:
-        return None, np.inf
-    return res.x[:m], float(res.x[m])
-
-
 def _exchange_weights(bs, best=np.inf):
     """Unconstrained minimax weights for the scaled basis ``bs`` by a
     discrete linear Remez (Stiefel single-point) exchange.
@@ -118,11 +85,12 @@ def _exchange_weights(bs, best=np.inf):
 
     Returns (a, err, bound): the weights, their max error on the grid and
     the largest such lower bound met, with err <= bound * (1 +
-    _EXCHANGE_TOL).  If a reference is singular or rounding stops the
-    exchange first, a and err are None; bound is still the largest lower
-    bound met (0 if none).  The exchange also stops, with a and err None,
-    as soon as bound reaches ``best``: no fit for these nodes, the
-    exchange's own included, can then beat ``best``.
+    _EXCHANGE_TOL) when the exchange converges.  If rounding stops it
+    first, a and err are those of the iterate with the smallest grid error;
+    if there is no iterate (a singular first reference), they are None.
+    bound is the largest lower bound met (0 if none).  The exchange also
+    stops, with a and err None, as soon as bound reaches ``best``: no fit
+    for these nodes, the exchange's own included, can then beat ``best``.
     """
     npts, m = bs.shape
     # start from m+1 points where the basis and the constant are well
@@ -133,6 +101,7 @@ def _exchange_weights(bs, best=np.inf):
     mat[:, m] = (-1.0) ** np.arange(m + 1)
     ones = np.ones(m + 1)
     h_prev = bound = 0.0
+    a_best = err_best = None
     for _ in range(_EXCHANGE_STEPS * (m + 1)):
         mat[:, :m] = bs[ref]
         try:
@@ -154,6 +123,8 @@ def _exchange_weights(bs, best=np.inf):
         i = int(np.argmax(np.abs(err)))
         if abs(err[i]) <= bound * (1.0 + _EXCHANGE_TOL):
             return a, float(abs(err[i])), bound
+        if err_best is None or abs(err[i]) < err_best:
+            a_best, err_best = a, float(abs(err[i]))
         k = int(np.searchsorted(ref, i))
         if k <= m and ref[k] == i:
             break  # the worst point is already in the reference
@@ -168,24 +139,39 @@ def _exchange_weights(bs, best=np.inf):
             ref[k - 1] = i
         else:
             ref[k] = i
-    return None, None, bound
+    return a_best, err_best, bound
 
 
 def _window_weights(bs, best):
-    """Best nonnegative weights for the scaled basis ``bs``, as (a, err).
+    """Nonnegative minimax weights for the scaled basis ``bs``, as (a, err).
 
-    Takes the exchange's fit when its weights are nonnegative: it is then
-    also the best nonnegative fit.  Returns None when the exchange's lower
-    bound shows that no nonnegative fit can beat ``best``.  Otherwise
-    (negative weights, or an exchange stopped by rounding) solves the
-    linear program.
+    An active set: the exchange runs on the free nodes, and while a weight
+    is negative the node of the most negative weight is fixed at zero and
+    the exchange run again; the first all-nonnegative fit is taken.  It is
+    the best fit on the nodes it keeps; with every node kept it is also the
+    best nonnegative fit, and otherwise it can lie above that.
+    Returns None when an exchange's lower bound shows that no fit on its
+    nodes can beat ``best``: the active set's fit then cannot either.  A
+    window with no exchange iterate at all takes nonnegative least-squares
+    weights, or None if that solver gives up.
     """
-    a, err, bound = _exchange_weights(bs, best)
-    if a is not None and np.all(a >= 0):
-        return a, err
-    if bound >= best:
+    free = np.arange(bs.shape[1])
+    while True:
+        a, err, bound = _exchange_weights(bs[:, free], best)
+        if bound >= best:
+            return None
+        if a is None:
+            break
+        if np.all(a >= 0):
+            w = np.zeros(bs.shape[1])
+            w[free] = a
+            return w, err
+        free = np.delete(free, np.argmin(a))
+    try:
+        w = nnls(bs, np.ones(len(bs)))[0]
+    except RuntimeError:  # nnls's iteration limit
         return None
-    return _minimax_weights(bs)
+    return w, float(np.max(np.abs(bs @ w - 1.0)))
 
 
 def expsum_coeffs(lambda_min: float, lambda_max: float, zeta: int):
@@ -195,14 +181,13 @@ def expsum_coeffs(lambda_min: float, lambda_max: float, zeta: int):
     trapezoid grid of the integral 1/z = int exp(-z e^s + s) ds).  A
     pattern search tunes the window (s_lo, s_hi): a 6 x 6 scan, then
     compass moves of halving size.  For each window the weights alpha_j are
-    the minimax-optimal nonnegative ones for those nodes on max(1200,
-    20*zeta) log-spaced points (``_window_weights``: a Remez exchange, or a
-    linear program where the exchange cannot settle it).  A window's
-    exchange stops as soon as its lower bound shows that the window cannot
-    beat the best so far, and a window whose nodes this call has scored
-    before is skipped; neither changes a decision of the search.  This lands
-    close to the best attainable exponential sum.  Falls back to the raw
-    trapezoid weights h*exp(s_j) if the linear program fails.
+    nonnegative and minimax-optimal on the nodes they keep, on max(1200,
+    20*zeta) log-spaced points (``_window_weights``: a Remez exchange on an
+    active set of nodes).  A window's exchange stops as soon as its lower
+    bound shows that the window cannot beat the best so far, and a window
+    whose nodes this call has scored before is skipped; neither changes a
+    decision of the search.  This lands close to the best attainable
+    exponential sum.
 
     The relative error is scale-invariant: the fit on [c*lo, c*hi] has
     nodes beta/c and, up to rounding, the same bound.
@@ -243,13 +228,7 @@ def expsum_coeffs(lambda_min: float, lambda_max: float, zeta: int):
         fit = _window_weights(bs, best_sig)
         if fit is None:
             return None, None, np.inf  # cannot beat best_sig
-        a, sig = fit
-        if a is None:
-            h = (v - u + np.log(hi / lo)) / max(zeta - 1, 1)
-            alpha = h * beta  # plain truncated-trapezoid weights
-            sig = float(np.max(np.abs(_eval_relerr(z, alpha, beta))))
-            return alpha, beta, sig
-        return a / scale, beta, sig
+        return fit[0] / scale, beta, fit[1]
 
     best = (np.inf, None, None, (0.0, 0.0))
     for u in np.linspace(-1.5, 2.0, 6):
@@ -331,6 +310,8 @@ class ExpSumPreconditioner:
         self.beta = np.asarray(beta, dtype=np.float64)
         if self.alpha.shape != self.beta.shape or self.alpha.ndim != 1:
             raise ValueError("alpha and beta must be equal-length vectors")
+        if self.alpha.size == 0:
+            raise ValueError("alpha and beta need at least one term")
         if not (np.all(np.isfinite(self.alpha)) and np.all(np.isfinite(self.beta))):
             raise ValueError("alpha and beta coefficients must be finite")
         if np.any(self.beta < 0):

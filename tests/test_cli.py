@@ -215,6 +215,28 @@ class TestSweep:
         assert len(rows) == 2
 
 
+# the rank-2 recovery frame caps tt_sgmres's STTA basis: a warning, every run
+CAPPED_STTA = BASE_PDE.replace("solution_rank = 10", "solution_rank = 2\ncombine_mode = stta")
+
+
+class TestTableWarnings:
+    @pytest.mark.parametrize("section", [
+        "[compare]\nvariants = tt_sgmres, tt_gmres\n",
+        "[sweep]\naxis = n\nvalues = 4, 5\n",
+    ], ids=["compare", "sweep"])
+    def test_each_run_prints_its_warnings(self, tmp_path, capsys, section):
+        cfg = write_cfg(tmp_path / "w.cfg", CAPPED_STTA + "\n" + section)
+        main([section[1:section.index("]")], cfg, "--out-dir", str(tmp_path)])
+        lines = capsys.readouterr().out.splitlines()
+        runs = [i for i, line in enumerate(lines) if "iterations=" in line]
+        assert len(runs) == 2
+        for i in runs:
+            sgmres = "tt_sgmres:" in lines[i]
+            assert ("caps the basis" in lines[i + 1]) == sgmres
+            if sgmres:
+                assert lines[i + 1].startswith("warning: iteration")
+
+
 NO_OVERRIDES = argparse.Namespace(maxit=None, tol=None, seed=None, track_true_residual=False)
 
 # a value other than the default for every SolverConfig field
