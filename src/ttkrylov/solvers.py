@@ -25,7 +25,19 @@ z_k, and A z_k passes through three parts:
   vectors.  ``tt_gmres`` orthogonalizes against the whole basis and rounds
   A v and every step at the relaxed tolerance eta_k * tol.  The sketched
   variants orthogonalize against the last ell vectors and round once, at
-  eta * tol, after the last step.  With ``combine_mode="stta"`` they
+  eta * tol, after the last step.  Each step subtracts its vector with
+  ``tt_add``, which adds the vector's ranks to w's, except the last step
+  of an explicit window without a preconditioner: there the newest window
+  vector is z itself, and h z is subtracted inside A z.  That takes a
+  block E with A + sigma I = (A's cores 0..d-2, last core + sigma E),
+  found once per solve by ``tt_op_shift_core``; it exists when the
+  identity on modes 0..d-2 is a combination of what A's op-rank channels
+  carry into the last core, as for a Kronecker sum (its passthrough
+  channel) and the op-rounded Markov operator.  The rows of w's last core
+  that hold A z's then become the last core of (A - h I) z, and the
+  rounding's input keeps A z's ranks rho r instead of (rho + 1) r; A z,
+  its sketch and every h are those ``tt_add`` gives.  Without E the last
+  step takes ``tt_add`` too.  With ``combine_mode="stta"`` they
   combine the sketch pairs of A z and of the window vectors instead and
   recover the result once (its sketch of A z counts as rounding); each
   window entry carries its vector's sketch pair, the assembly's own pair
@@ -64,6 +76,7 @@ rounding noise.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -72,13 +85,21 @@ import numpy as np
 
 from .precond import ExpSumPreconditioner
 from .sketch import KhatriRaoSketch, kr_apply
-from .streaming import StreamedSum, StreamFrame, combine_pairs, stream_recover, stream_sketch
+from .streaming import (
+    StreamedSum,
+    StreamFrame,
+    check_seed,
+    combine_pairs,
+    stream_recover,
+    stream_sketch,
+)
 from .tt import (
     RoundedSum,
     RoundSpec,
     ShapeMismatch,
     TTOperator,
     TTVector,
+    _matvec_core,
     _norm,
     attainable_ranks,
     check_finite,
@@ -86,6 +107,7 @@ from .tt import (
     tt_dot,
     tt_matvec,
     tt_norm,
+    tt_op_shift_core,
     tt_round,
     tt_scale,
     tt_zero,
@@ -125,12 +147,17 @@ class SolverConfig:
             raise ValueError("tol must lie in (0, 1)")
         if not (0 < self.eta <= 1):
             raise ValueError("eta must lie in (0, 1]")
-        for key in ("ell", "maxit", "max_rank", "solution_rank", "oversampling"):
+        check_seed(self.seed)
+        for key in ("ell", "maxit", "max_rank", "solution_rank", "oversampling", "sketch_rows"):
             value = getattr(self, key)
-            if value is not None and value < 1:
+            if value is None:
+                continue
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{key} must be an integer, got {value!r}") from None
+            if value < 1:
                 raise ValueError(f"{key} must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
         if self.combine_mode not in ("explicit", "stta"):
             raise ValueError("combine_mode must be 'explicit' or 'stta'")
         if self.sketch_rows is None:
@@ -242,6 +269,23 @@ def _is_zero(v: TTVector | None) -> bool:
     return v is None or all(np.all(c == 0) for c in v.cores)
 
 
+def _subtract_shifted(w: TTVector, shift: np.ndarray, z: TTVector, h: float) -> TTVector:
+    """w - h z, for a w whose last core starts with the rows of A z's last
+    core, given A's ``tt_op_shift_core`` ``shift``.
+
+    The matvec core is linear in the op core, so subtracting h times the
+    shift's matvec core, which has as many rows, from those rows makes
+    them the last core of (A - h I) z.  ``tt_add`` puts its first term's
+    rows first (for d = 1 it adds the cores), so A z minus older window
+    vectors qualifies.  w's other cores are shared, and its ranks do not
+    grow.
+    """
+    delta = _matvec_core(shift, z.cores[-1])
+    last = w.cores[-1].copy()
+    last[: len(delta)] -= h * delta
+    return TTVector([*w.cores[:-1], last])
+
+
 # ---------------------------------------------------------------------------
 # least squares
 
@@ -333,6 +377,9 @@ def _krylov(a, b, x0, cfg: SolverConfig, sketch=None, frame=None, precond=None):
     rel_res = beta / nb
     converged = False
     pinv = (lambda v: v) if precond is None else precond.apply_inverse
+    # with z = v and an explicit, once-rounded window, the newest window
+    # vector is z itself and folds into A z (see the module docstring)
+    shift = None if relaxed or stta or precond is not None else tt_op_shift_core(a)
 
     for k in range(1, cfg.maxit + 1):
         if k > 1:
@@ -356,7 +403,9 @@ def _krylov(a, b, x0, cfg: SolverConfig, sketch=None, frame=None, precond=None):
         col = np.zeros(k + 1)
         for i, v, _ in window:
             col[i] = tt_dot(w, v)
-            if not stta:
+            if v is z and shift is not None:
+                w = _subtract_shifted(w, shift, z, col[i])
+            elif not stta:
                 w = tt_add(w, tt_scale(v, -col[i]))
                 if relaxed:
                     w = tt_round(w, spec)

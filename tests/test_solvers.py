@@ -36,6 +36,7 @@ from ttkrylov.tt import (
     ShapeMismatch,
     identity_operator,
     tt_add,
+    tt_dot,
     tt_matvec,
     tt_norm,
     tt_random,
@@ -275,6 +276,51 @@ class TestBasisNormalization:
         x, rep = run_variant(name, identity_operator(dims), b, None, cfg)
         assert rep.converged and rep.iterations == 1 and appended == []
         assert tt_norm(tt_add(x, tt_scale(b, -1.0))) <= 1e-8 * tt_norm(b)
+
+
+class TestShiftedFold:
+    """Without a preconditioner the explicit window's newest vector is z,
+    and h z is subtracted inside A z's last core (``_subtract_shifted``).
+    MGS makes each appended vector orthogonal to the one before it up to
+    the rounding; a shift of the wrong sign or channel would leave a
+    component of about 2 h."""
+
+    @pytest.mark.parametrize("name", ["sgmres", "vanilla"])
+    @pytest.mark.parametrize("ell", [1, 2])
+    def test_consecutive_basis_vectors_orthogonal(self, monkeypatch, name, ell):
+        op, rhs = _small_problem()
+        cfg = SolverConfig(maxit=12, tol=1e-10, ell=ell, seed=4)
+        folds = []
+        fold = solvers._subtract_shifted
+        monkeypatch.setattr(solvers, "_subtract_shifted",
+                            lambda *args: folds.append(args[-1]) or fold(*args))
+        appended = appended_basis(monkeypatch)
+        _, rep = run_variant(name, op, rhs, None, cfg)
+        assert rep.iterations == cfg.maxit and len(folds) == rep.iterations
+        basis = [tt_scale(rhs, 1.0 / tt_norm(rhs)), *appended]
+        for v, w in zip(basis, basis[1:]):
+            assert abs(tt_dot(w, v)) <= 10 * cfg.eta * cfg.tol
+
+    def test_preconditioned_and_stta_runs_do_not_fold(self, monkeypatch):
+        op, rhs = _small_problem()
+        calls = []
+        monkeypatch.setattr(solvers, "_subtract_shifted", lambda *args: calls.append(args))
+        for name, mode in (("spgmres", "explicit"), ("sgmres", "stta"), ("gmres", "explicit")):
+            run_variant(name, op, rhs, None, SolverConfig(maxit=6, tol=1e-10, combine_mode=mode))
+        assert calls == []
+
+
+class TestConfigIntegers:
+    @pytest.mark.parametrize("key,value", [("seed", 1.5), ("maxit", 2.5), ("ell", 1.5),
+                                           ("sketch_rows", 250.5), ("max_rank", 4.0),
+                                           ("solution_rank", 12.5), ("oversampling", 2.0)])
+    def test_non_integer_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            SolverConfig(**{key: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = SolverConfig(maxit=np.int64(10), ell=np.int32(2), seed=np.uint8(3))
+        assert cfg.sketch_rows == 20
 
 
 class TestEntry:

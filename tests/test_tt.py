@@ -4,6 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ttkrylov.problems import (
+    ConvectionDiffusionSpec,
+    MarkovSpec,
+    convection_diffusion,
+    markov_chain,
+)
 from ttkrylov.tt import (
     NonFiniteCore,
     RoundedSum,
@@ -25,6 +31,7 @@ from ttkrylov.tt import (
     tt_norm,
     tt_op_add,
     tt_op_round,
+    tt_op_shift_core,
     tt_op_to_dense,
     tt_random,
     tt_rank_one,
@@ -655,6 +662,54 @@ class TestKronSum:
     def test_non_square_rejected(self):
         with pytest.raises(ShapeMismatch):
             kron_sum_operator([np.zeros((2, 3))])
+
+
+def _shifted(a, e, sigma):
+    return TTOperator([*a.op_cores[:-1], a.op_cores[-1] + sigma * e])
+
+
+_SHIFT_CASES = {
+    "cd": lambda: convection_diffusion(ConvectionDiffusionSpec(d=3, n=5))[0],
+    # op-rounded: the identity's path runs through rotated channels
+    "markov": lambda: markov_chain(MarkovSpec(d=3, n=5, seed=9))[0],
+    "d1": lambda: kron_sum_operator([np.random.default_rng(29).standard_normal((4, 4))]),
+}
+
+
+class TestOpShiftCore:
+    """A + sigma I from A's cores 0..d-2 and a shifted last core."""
+
+    @pytest.mark.parametrize("case", list(_SHIFT_CASES))
+    @pytest.mark.parametrize("sigma", [-3.0, -0.25, 0.7, 1e3])
+    def test_dense_oracle(self, case, sigma):
+        a = _SHIFT_CASES[case]()
+        e = tt_op_shift_core(a)
+        assert e is not None and e.shape == (a.ranks[-2], a.row_dims[-1], a.col_dims[-1], 1)
+        want = tt_op_to_dense(a) + sigma * np.eye(int(np.prod(a.col_dims)))
+        got = tt_op_to_dense(_shifted(a, e, sigma))
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+    def test_kron_sum_path_is_the_passthrough_channel(self):
+        a = convection_diffusion(ConvectionDiffusionSpec(d=4, n=6))[0]
+        e = tt_op_shift_core(a)
+        assert np.allclose(e[1, :, :, 0], np.eye(6), rtol=0, atol=1e-14)
+        assert np.allclose(e[0], 0.0, rtol=0, atol=1e-14)
+
+    def test_random_operator_has_none(self):
+        assert tt_op_shift_core(random_operator([3, 3, 3], [3, 3, 3], [2, 2], seed=30)) is None
+
+    def test_non_square_modes_have_none(self):
+        assert tt_op_shift_core(random_operator([2, 3], [3, 3], [2], seed=31)) is None
+
+    @settings(max_examples=40, deadline=None)
+    @given(sigma=st.floats(-1e4, 1e4, allow_nan=False), seed=st.integers(0, 50))
+    def test_shift_property(self, sigma, seed):
+        rng = np.random.default_rng(seed)
+        a = kron_sum_operator([rng.standard_normal((n, n)) for n in (2, 3, 4)])
+        e = tt_op_shift_core(a)
+        want = tt_op_to_dense(a) + sigma * np.eye(24)
+        got = tt_op_to_dense(_shifted(a, e, sigma))
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
 
 
 class TestDensifyCommute:
