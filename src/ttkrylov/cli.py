@@ -26,6 +26,8 @@ library's default, and a section or key not listed here is an error:
   scalar field of that dataclass is a key, and ``d`` and ``n`` are required.
 * ``[solver]``: ``type`` names the variant; every field of ``SolverConfig``
   is a key, except ``track_true_residual``, which lives in ``[output]``.
+  The solver frame's oversampling is not a key: it is fixed
+  (``solvers.FRAME_OVERSAMPLING``).
 * ``[preconditioner]``: ``type = expsum`` with ``zeta`` and, optionally,
   ``max_rank`` (default: the solver's), passed to
   ``ExpSumPreconditioner.from_kron_sum`` with the solver's ``eta * tol``
@@ -98,17 +100,12 @@ def _get(cp, section, key, conv=str, default=None, required=False):
         return default
     try:
         return conv(raw)
-    except ValueError as exc:
+    except (ValueError, KeyError) as exc:
         raise ConfigError(f"bad value for key '{key}': {raw}") from exc
 
 
 def _bool(raw):
-    lower = raw.lower()
-    if lower in ("1", "true", "yes", "on"):
-        return True
-    if lower in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(raw)
+    return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
 
 
 _CONVERTERS = {int: int, float: float, str: str, bool: _bool}

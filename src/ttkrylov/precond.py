@@ -16,15 +16,14 @@ lower bound loses to the best ladder so far, and no ladder is scored twice.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 import scipy.linalg
 from scipy.optimize import nnls
 
-from .streaming import check_seed, streamed_mode_sum
+from .streaming import streamed_mode_sum
+from .tt import RoundSpec, ShapeMismatch, TTVector, check_count, check_finite
 # mode_multiply lives in tt; it stays importable from here, where it was
-from .tt import RoundSpec, ShapeMismatch, TTVector, check_finite, mode_multiply  # noqa: F401
+from .tt import mode_multiply  # noqa: F401
 
 _EVAL_POINTS = 1000
 # the exchange stops when its grid error is within a factor 1 + _EXCHANGE_TOL
@@ -204,12 +203,7 @@ def expsum_coeffs(lambda_min: float, lambda_max: float, zeta: int):
         raise ValueError("lambda_min must be positive")
     if hi < lo:
         raise ValueError("lambda_max must be >= lambda_min")
-    try:
-        zeta = operator.index(zeta)
-    except TypeError:
-        raise ValueError(f"zeta must be an integer, got {zeta!r}") from None
-    if zeta < 1:
-        raise ValueError("zeta must be >= 1")
+    zeta = check_count(zeta, "zeta")
     if hi / lo < 1.0 + 1e-9:
         lo, hi = lo * (1.0 - 1e-9), hi * (1.0 + 1e-9)
     z = np.logspace(np.log10(lo), np.log10(hi), max(1200, 20 * zeta))
@@ -318,11 +312,10 @@ class ExpSumPreconditioner:
             raise ValueError("beta coefficients must be nonnegative")
         self.spec = spec
         self.quad_bound = quad_bound
+        self.stream_seed = check_count(stream_seed, "stream_seed", 0)
         self.exps = [
             [matrix_exp(-bj * f) for f in self.factors] for bj in self.beta
         ]
-        check_seed(stream_seed, "stream_seed")
-        self.stream_seed = stream_seed
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -345,7 +338,7 @@ class ExpSumPreconditioner:
 
     def apply_inverse(self, v: TTVector) -> TTVector:
         """Apply the approximate inverse of the Kronecker sum to v."""
-        check_finite(v)
+        check_finite(v.cores)
         if v.dims != self.dims:
             raise ShapeMismatch(f"vector dims {v.dims} do not match {self.dims}")
         return streamed_mode_sum(v, self.exps, self.alpha, self.stream_seed, self.spec)

@@ -15,6 +15,7 @@ from .tt import (
     SizeLimit,
     TTOperator,
     TTVector,
+    check_count,
     kron_sum_operator,
     tt_op_add,
     tt_op_round,
@@ -38,15 +39,13 @@ class ConvectionDiffusionSpec:
     convection: tuple | None = None
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
-        if self.n < 2:
-            raise ValueError("n must be >= 2")
+        check_count(self.d, "d")
+        check_count(self.n, "n", 2)
         if self.diffusion <= 0:
             raise ValueError("diffusion must be positive")
         if self.convection is None:
             self.convection = tuple([1e-2] * self.d)
-        self.convection = tuple(float(w) for w in self.convection)
+        self.convection = tuple(map(float, self.convection))
         if len(self.convection) != self.d:
             raise ValueError("convection must have length d")
 
@@ -100,10 +99,8 @@ class MarkovSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("d must be >= 2 (synchronizations need neighbours)")
-        if self.n < 2:
-            raise ValueError("n must be >= 2")
+        check_count(self.d, "d", 2)  # synchronizations need neighbours
+        check_count(self.n, "n", 2)
         if self.rate_low > self.rate_high:
             raise ValueError("rate_low must be <= rate_high")
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tt import ShapeMismatch, TTVector
+from .tt import ShapeMismatch, TTVector, check_count
 
 # memory budget (floats) for the per-mode intermediate of kr_apply; a few
 # hundred KiB, so that no sketch needs a large short-lived array
@@ -37,8 +37,7 @@ class KhatriRaoSketch:
 
 def kr_sketch_new(dims, rows: int, seed=0) -> KhatriRaoSketch:
     """Draw a fresh Khatri-Rao sketch; deterministic for a given seed."""
-    if rows < 1:
-        raise ValueError("rows must be >= 1")
+    rows = check_count(rows, "rows")
     dims = list(dims)
     d = len(dims)
     std = float(rows) ** (-0.5 / d)

@@ -76,7 +76,6 @@ rounding noise.
 
 from __future__ import annotations
 
-import operator
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -88,7 +87,6 @@ from .sketch import KhatriRaoSketch, kr_apply
 from .streaming import (
     StreamedSum,
     StreamFrame,
-    check_seed,
     combine_pairs,
     stream_recover,
     stream_sketch,
@@ -102,6 +100,7 @@ from .tt import (
     _matvec_core,
     _norm,
     attainable_ranks,
+    check_count,
     check_finite,
     tt_add,
     tt_dot,
@@ -120,6 +119,8 @@ _BREAKDOWN_FACTOR = 1e-14
 _CONDITION_WATERMARK = 1e-10
 _RANK_DEFICIENT = "sketched basis nearly rank-deficient"
 _FRAME_CAPS = "the recovery frame caps the basis vector at modes"
+# the solver frame's left ranks exceed its recovery ranks by this much
+FRAME_OVERSAMPLING = 20
 
 
 @dataclass
@@ -132,7 +133,6 @@ class SolverConfig:
     eta: float = 0.3
     max_rank: int | None = None
     sketch_rows: int | None = None  # default: 2 * maxit
-    oversampling: int = 20
     # rank cap of the streamed solution and, with b's ranks, the frame's
     # recovery rank; give it a few ranks of headroom above the solution's
     # own (default: max(2 * largest rank of b, 20))
@@ -147,17 +147,10 @@ class SolverConfig:
             raise ValueError("tol must lie in (0, 1)")
         if not (0 < self.eta <= 1):
             raise ValueError("eta must lie in (0, 1]")
-        check_seed(self.seed)
-        for key in ("ell", "maxit", "max_rank", "solution_rank", "oversampling", "sketch_rows"):
-            value = getattr(self, key)
-            if value is None:
-                continue
-            try:
-                operator.index(value)
-            except TypeError:
-                raise ValueError(f"{key} must be an integer, got {value!r}") from None
-            if value < 1:
-                raise ValueError(f"{key} must be >= 1")
+        check_count(self.seed, "seed", 0)
+        for key in ("ell", "maxit", "max_rank", "solution_rank", "sketch_rows"):
+            if getattr(self, key) is not None:
+                check_count(getattr(self, key), key)
         if self.combine_mode not in ("explicit", "stta"):
             raise ValueError("combine_mode must be 'explicit' or 'stta'")
         if self.sketch_rows is None:
@@ -247,7 +240,7 @@ def default_solution_rank(b: TTVector, cfg: SolverConfig) -> int:
 
 def make_solver_frame(b: TTVector, cfg: SolverConfig, seed) -> StreamFrame:
     """One frame for the whole run, with recovery ranks max(b rank,
-    solution rank) and left ranks ``cfg.oversampling`` above them.
+    solution rank) and left ranks FRAME_OVERSAMPLING = 20 above them.
 
     The streamed solution is rounded to the solution rank anyway, and STTA
     recovers a tensor of rank <= r exactly from a rank-r right map and an
@@ -262,7 +255,7 @@ def make_solver_frame(b: TTVector, cfg: SolverConfig, seed) -> StreamFrame:
     """
     sol = default_solution_rank(b, cfg)
     ranks = [max(r, sol) for r in b.ranks[1:-1]]
-    return StreamFrame.create(b.dims, ranks, oversampling=cfg.oversampling, seed=seed)
+    return StreamFrame.create(b.dims, ranks, oversampling=FRAME_OVERSAMPLING, seed=seed)
 
 
 def _is_zero(v: TTVector | None) -> bool:
@@ -338,9 +331,12 @@ def _krylov(a, b, x0, cfg: SolverConfig, sketch=None, frame=None, precond=None):
         raise ShapeMismatch("operator dims do not match the right-hand side")
     if sketch is not None and sketch.dims != b.dims:
         raise ShapeMismatch("sketch dims do not match the right-hand side")
-    check_finite(b)
+    check_finite(b.cores)
     if x0 is not None:
-        check_finite(x0)
+        check_finite(x0.cores)
+    check_finite(a.op_cores, "operator core")
+    if sketch is not None:
+        check_finite(sketch.factors, "sketch factor")
     t_start = time.perf_counter()
     report = SolveReport()
     x0 = None if _is_zero(x0) else x0

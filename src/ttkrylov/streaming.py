@@ -31,6 +31,7 @@ from .tt import (
     ShapeMismatch,
     TTVector,
     attainable_ranks,
+    check_count,
     mode_multiply,
     tt_add,
     tt_round,
@@ -55,12 +56,6 @@ LADDER_START = 16
 LADDER_OVERSAMPLING = 16
 
 
-def check_seed(seed, name: str = "seed") -> None:
-    """Raise ValueError unless seed is a nonnegative integer."""
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise ValueError(f"{name} must be a nonnegative integer, got {seed!r}")
-
-
 class DegenerateRecovery(ValueError):
     """Recovery hit an all-zero cross matrix against nonzero sketches."""
 
@@ -74,11 +69,9 @@ def tt_drm_new(dims, ranks, seed=0) -> TTVector:
     """
     dims = list(dims)
     d = len(dims)
-    ranks = list(ranks)
+    ranks = [check_count(r, "ranks") for r in ranks]
     if len(ranks) != d - 1:
         raise ValueError("ranks must have length d-1")
-    if any(r < 1 for r in ranks):
-        raise ValueError("ranks must be positive")
     rng = np.random.default_rng(seed)
     full = [1, *ranks, 1]
     cores = []
@@ -110,13 +103,11 @@ class StreamFrame:
     def create(cls, dims, recovery_ranks, oversampling: int = 20, seed=0) -> "StreamFrame":
         """Build a frame; recovery ranks are clipped to attainable values."""
         dims = list(dims)
-        d = len(dims)
-        ranks = list(recovery_ranks)
-        if len(ranks) != d - 1:
+        ranks = [check_count(r, "recovery_ranks") for r in recovery_ranks]
+        if len(ranks) != len(dims) - 1:
             raise ValueError("recovery_ranks must have length d-1")
-        if oversampling < 1:
-            raise ValueError("oversampling must be >= 1")
-        ranks = [int(min(r, f)) for r, f in zip(ranks, attainable_ranks(dims))]
+        oversampling = check_count(oversampling, "oversampling")
+        ranks = [min(r, f) for r, f in zip(ranks, attainable_ranks(dims))]
         lranks = [r + oversampling for r in ranks]
         ss = np.random.SeedSequence(seed)
         s_right, s_left = ss.spawn(2)
@@ -171,12 +162,13 @@ class SketchPair:
         return _left_product(lmat, core) @ rmat
 
     def kept(self) -> "SketchPair":
-        """This pair with each psi[mu] in its smaller form.  A factored
-        psi[mu] holds its own copy of the core, which in the tensor may be
-        a view into a larger array (``tt_round`` returns such cores)."""
+        """This ``stream_sketch`` pair, which carries every psi[mu]'s factors,
+        with each psi[mu] in its smaller form.  A factored psi[mu] holds its
+        own copy of the core, which in the tensor may be a view into a
+        larger array (``tt_round`` returns such cores)."""
         psi, factors = [], []
-        for m, f in zip(self.psi, self.factors or [None] * len(self.psi)):
-            if f is None or m.size <= sum(a.size for a in f):
+        for m, f in zip(self.psi, self.factors):
+            if m.size <= sum(a.size for a in f):
                 psi.append(m)
                 factors.append(None)
             else:
@@ -353,7 +345,7 @@ def streamed_mode_sum(v: TTVector, matrices, coeffs, seed, spec: RoundSpec) -> T
     the cap never makes the frame grow.  ``seed`` must be a nonnegative
     integer.
     """
-    check_seed(seed)
+    check_count(seed, "seed", 0)
     bound = [min(f, len(matrices) * r)
              for f, r in zip(attainable_ranks(v.dims), v.ranks[1:-1])]
     rung = 0

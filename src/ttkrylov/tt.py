@@ -9,6 +9,7 @@ is in float64.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,22 @@ class NonFiniteCore(ValueError):
     """A core holds a NaN or infinite entry."""
 
 
+def check_count(value, name: str, minimum: int = 1) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is an
+    integer >= ``minimum``.  Python and numpy integers pass; bools, floats
+    and strings do not."""
+    if type(value) is int and value >= minimum:  # the common case, quickly
+        return value
+    try:
+        count = operator.index(value)
+    except TypeError:
+        count = None
+    if count is None or count < minimum or isinstance(value, (bool, np.bool_)):
+        what = "a nonnegative integer" if minimum == 0 else f"an integer >= {minimum}"
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return count
+
+
 @dataclass(frozen=True)
 class RoundSpec:
     """Rounding control: relative Frobenius tolerance and optional rank cap."""
@@ -41,30 +58,36 @@ class RoundSpec:
     max_rank: int | None = None
 
     def __post_init__(self):
-        if self.rel_tol < 0:
-            raise ValueError("rel_tol must be nonnegative")
-        if self.max_rank is not None and self.max_rank < 1:
-            raise ValueError("max_rank must be >= 1 when given")
+        if not self.rel_tol >= 0:  # NaN too
+            raise ValueError(f"rel_tol must be nonnegative, got {self.rel_tol!r}")
+        if self.max_rank is not None:
+            check_count(self.max_rank, "max_rank")
+
+
+def _check_chain(cores, order: int) -> None:
+    """Raise unless ``cores`` is a nonempty list of order-``order`` cores
+    whose ranks (first and last axes) chain up and are 1 at both ends."""
+    if not cores:
+        raise ValueError("need at least one core")
+    kind = "op " if order == 4 else ""
+    rank = 1  # the rank core k must start with
+    for k, c in enumerate(cores):
+        if c.ndim != order:
+            raise ShapeMismatch(f"{kind}core {k} must be order {order}, got shape {c.shape}")
+        if c.shape[0] != rank:
+            raise ShapeMismatch(f"{kind}rank chain broken between cores {k - 1} and {k}"
+                                if k else f"boundary {kind}ranks must equal 1")
+        rank = c.shape[-1]
+    if rank != 1:
+        raise ShapeMismatch(f"boundary {kind}ranks must equal 1")
 
 
 class TTVector:
     """A d-mode tensor in TT format (chain of order-3 cores)."""
 
     def __init__(self, cores):
-        cores = [np.asarray(c, dtype=np.float64) for c in cores]
-        if not cores:
-            raise ValueError("need at least one core")
-        for k, c in enumerate(cores):
-            if c.ndim != 3:
-                raise ShapeMismatch(f"core {k} must be order 3, got shape {c.shape}")
-        if cores[0].shape[0] != 1 or cores[-1].shape[2] != 1:
-            raise ShapeMismatch("boundary ranks must equal 1")
-        for k in range(len(cores) - 1):
-            if cores[k].shape[2] != cores[k + 1].shape[0]:
-                raise ShapeMismatch(
-                    f"rank chain broken between cores {k} and {k + 1}"
-                )
-        self.cores = cores
+        self.cores = [np.asarray(c, dtype=np.float64) for c in cores]
+        _check_chain(self.cores, 3)
 
     @property
     def d(self) -> int:
@@ -89,20 +112,8 @@ class TTOperator:
     """A linear map between d-mode tensors (chain of order-4 cores)."""
 
     def __init__(self, op_cores):
-        op_cores = [np.asarray(c, dtype=np.float64) for c in op_cores]
-        if not op_cores:
-            raise ValueError("need at least one core")
-        for k, c in enumerate(op_cores):
-            if c.ndim != 4:
-                raise ShapeMismatch(f"op core {k} must be order 4, got shape {c.shape}")
-        if op_cores[0].shape[0] != 1 or op_cores[-1].shape[3] != 1:
-            raise ShapeMismatch("boundary op-ranks must equal 1")
-        for k in range(len(op_cores) - 1):
-            if op_cores[k].shape[3] != op_cores[k + 1].shape[0]:
-                raise ShapeMismatch(
-                    f"op-rank chain broken between cores {k} and {k + 1}"
-                )
-        self.op_cores = op_cores
+        self.op_cores = [np.asarray(c, dtype=np.float64) for c in op_cores]
+        _check_chain(self.op_cores, 4)
 
     @property
     def d(self) -> int:
@@ -161,7 +172,8 @@ def tt_random(dims, ranks, seed=0) -> TTVector:
     ranks = list(ranks) if d > 1 else []
     if len(ranks) != max(d - 1, 0):
         raise ValueError("ranks must have length d-1")
-    full = [1] + [int(min(r, f)) for r, f in zip(ranks, attainable_ranks(dims))] + [1]
+    full = [1, *(min(check_count(r, "ranks"), f)
+                 for r, f in zip(ranks, attainable_ranks(dims))), 1]
     rng = np.random.default_rng(seed)
     cores = [rng.standard_normal((full[k], dims[k], full[k + 1])) for k in range(d)]
     return TTVector(cores)
@@ -190,22 +202,12 @@ def tt_to_dense(v: TTVector, max_entries: int = DENSE_CAP) -> np.ndarray:
 
 def tt_op_to_dense(a: TTOperator, max_entries: int = DENSE_CAP) -> np.ndarray:
     """Dense matricization of a TT operator (row-major mode fusion)."""
-    nrow = int(np.prod(a.row_dims, dtype=np.int64))
-    ncol = int(np.prod(a.col_dims, dtype=np.int64))
-    if nrow * ncol > max_entries:
-        raise SizeLimit(
-            f"dense matrix would have {nrow * ncol} entries (cap {max_entries})"
-        )
-    m = a.op_cores[0].reshape(a.row_dims[0] * a.col_dims[0], -1)
-    rows, cols = a.row_dims[0], a.col_dims[0]
-    for c in a.op_cores[1:]:
-        rho, mk, nk, rho2 = c.shape
-        m = m @ c.reshape(rho, -1)
-        # m indices: (rows, cols, mk, nk, rho2) -> (rows*mk, cols*nk, rho2)
-        m = m.reshape(rows, cols, mk, nk, rho2).transpose(0, 2, 1, 3, 4)
-        rows, cols = rows * mk, cols * nk
-        m = m.reshape(rows * cols, rho2)
-    return m.reshape(rows, cols)
+    d = a.d
+    # split each fused mode (m_k n_k) and put the row modes first
+    t = tt_to_dense(_op_as_vector(a), max_entries)
+    t = t.reshape([x for mn in zip(a.row_dims, a.col_dims) for x in mn])
+    t = t.transpose([*range(0, 2 * d, 2), *range(1, 2 * d, 2)])
+    return t.reshape(math.prod(a.row_dims), math.prod(a.col_dims))
 
 
 def _truncation_rank(sv: np.ndarray, budget: float) -> int:
@@ -469,15 +471,16 @@ def _right_factors(cores) -> list:
     return lfac
 
 
-def check_finite(v: TTVector) -> list[float]:
-    """Check every core for NaN or inf entries; return the core norms.
+def check_finite(arrays, what: str = "core") -> list[float]:
+    """Check every array, such as a TT vector's cores, for NaN or inf
+    entries; return their norms.
 
-    Raises NonFiniteCore naming the first core with such an entry.
+    Raises NonFiniteCore naming the first such array "<what> k".
     """
-    norms = [_norm(c) for c in v.cores]
+    norms = [_norm(c) for c in arrays]
     for k, nrm in enumerate(norms):
         if not np.isfinite(nrm):
-            raise NonFiniteCore(f"core {k} holds a non-finite entry")
+            raise NonFiniteCore(f"{what} {k} holds a non-finite entry")
     return norms
 
 
@@ -512,7 +515,7 @@ def tt_round(v: TTVector, spec: RoundSpec) -> TTVector:
     small values and compared as logs, so no magnitude that float64 can
     hold overflows.  A NaN or infinite core raises NonFiniteCore.
     """
-    norms = check_finite(v)
+    norms = check_finite(v.cores)
     if min(norms) == 0:
         return tt_zero(v.dims)
     d = v.d
@@ -683,10 +686,6 @@ def kron_sum_operator(factors) -> TTOperator:
 # serialization: magic, int64 header, row-major float64 payloads (all LE)
 
 
-def _write_ints(fh, values):
-    fh.write(np.asarray(values, dtype="<i8").tobytes())
-
-
 def _read_cores(path, magic, kind, modes):
     """The cores of a container: magic, d, ``modes`` lists of d dims, d+1
     ranks, then the cores.  Raises ValueError when the header is out of
@@ -725,15 +724,21 @@ def _read_cores(path, magic, kind, modes):
     return cores
 
 
+def _write_cores(path, magic, cores, modes):
+    """Write the container that ``_read_cores`` reads back: magic, d,
+    ``modes`` lists of d dims, d+1 ranks, then the cores."""
+    header = [len(cores), *(c.shape[1 + m] for m in range(modes) for c in cores),
+              cores[0].shape[0], *(c.shape[-1] for c in cores)]
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(np.asarray(header, dtype="<i8").tobytes())
+        for c in cores:
+            fh.write(np.ascontiguousarray(c, dtype="<f8").tobytes())
+
+
 def save_vector(path, v: TTVector) -> None:
     """Write a TTVector to the binary container format."""
-    with open(path, "wb") as fh:
-        fh.write(_VEC_MAGIC)
-        _write_ints(fh, [v.d])
-        _write_ints(fh, list(v.dims))
-        _write_ints(fh, list(v.ranks))
-        for c in v.cores:
-            fh.write(np.ascontiguousarray(c, dtype="<f8").tobytes())
+    _write_cores(path, _VEC_MAGIC, v.cores, 1)
 
 
 def load_vector(path) -> TTVector:
@@ -742,14 +747,7 @@ def load_vector(path) -> TTVector:
 
 def save_operator(path, a: TTOperator) -> None:
     """Write a TTOperator to the binary container format."""
-    with open(path, "wb") as fh:
-        fh.write(_OP_MAGIC)
-        _write_ints(fh, [a.d])
-        _write_ints(fh, list(a.row_dims))
-        _write_ints(fh, list(a.col_dims))
-        _write_ints(fh, list(a.ranks))
-        for c in a.op_cores:
-            fh.write(np.ascontiguousarray(c, dtype="<f8").tobytes())
+    _write_cores(path, _OP_MAGIC, a.op_cores, 2)
 
 
 def load_operator(path) -> TTOperator:

@@ -90,7 +90,7 @@ class TestSolve:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("max_rank", "0"), ("solution_rank", "0"), ("oversampling", "0"), ("seed", "-1")],
+        [("max_rank", "0"), ("solution_rank", "0"), ("seed", "-1")],
     )
     def test_out_of_range_key_is_config_error(self, tmp_path, key, value):
         cp = configparser.ConfigParser()
@@ -242,7 +242,7 @@ NO_OVERRIDES = argparse.Namespace(maxit=None, tol=None, seed=None, track_true_re
 # a value other than the default for every SolverConfig field
 FIELD_VALUES = {
     "maxit": 7, "tol": 1e-3, "ell": 2, "eta": 0.5, "max_rank": 9,
-    "sketch_rows": 333, "oversampling": 11, "solution_rank": 13,
+    "sketch_rows": 333, "solution_rank": 13,
     "combine_mode": "stta", "seed": 42, "track_true_residual": True,
     "force_iterations": True,
 }

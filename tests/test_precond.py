@@ -200,7 +200,7 @@ class TestExpsumCoeffs:
         with pytest.raises(ValueError, match="finite"):
             expsum_coeffs(lo, hi, 3)
 
-    @pytest.mark.parametrize("zeta", [2.5, 3.0, "3"])
+    @pytest.mark.parametrize("zeta", [2.5, 3.0, "3", True])
     def test_non_integer_zeta(self, zeta):
         with pytest.raises(ValueError, match="integer"):
             expsum_coeffs(1.0, 2.0, zeta)
@@ -541,7 +541,7 @@ class TestStreamedApply:
         assert p.stream_seed == 0
 
     def test_bad_stream_seed(self):
-        for seed in (-1, 1.5, "0"):
+        for seed in (-1, 1.5, "0", True):
             with pytest.raises(ValueError, match="nonnegative integer"):
                 ExpSumPreconditioner([laplacian(3)] * 2, [1.0], [0.5], RoundSpec(1e-8),
                                      stream_seed=seed)

@@ -19,6 +19,7 @@ from ttkrylov.problems import (
 )
 from ttkrylov.sketch import kr_apply, kr_sketch_new
 from ttkrylov.solvers import (
+    FRAME_OVERSAMPLING,
     SolverConfig,
     _LeastSquares,
     make_solver_frame,
@@ -177,12 +178,12 @@ def _small_problem(seed=0):
 VARIANTS = ("gmres", "vanilla", "sgmres", "spgmres")
 
 
-def run_variant(name, op, rhs, x0, cfg, precond=None):
-    """Solve with the named variant; the sketch is drawn from cfg.seed and
-    the preconditioner defaults to the identity."""
+def run_variant(name, op, rhs, x0, cfg, precond=None, sketch=None):
+    """Solve with the named variant; the sketch defaults to one drawn from
+    cfg.seed and the preconditioner to the identity."""
     if name == "gmres":
         return tt_gmres(op, rhs, x0, cfg)
-    s = kr_sketch_new(rhs.dims, cfg.sketch_rows, seed=cfg.seed + 1)
+    s = kr_sketch_new(rhs.dims, cfg.sketch_rows, seed=cfg.seed + 1) if sketch is None else sketch
     if name == "vanilla":
         return tt_sgmres_vanilla(op, rhs, x0, cfg, s)
     if name == "sgmres":
@@ -313,7 +314,7 @@ class TestShiftedFold:
 class TestConfigIntegers:
     @pytest.mark.parametrize("key,value", [("seed", 1.5), ("maxit", 2.5), ("ell", 1.5),
                                            ("sketch_rows", 250.5), ("max_rank", 4.0),
-                                           ("solution_rank", 12.5), ("oversampling", 2.0)])
+                                           ("solution_rank", 12.5), ("ell", True)])
     def test_non_integer_rejected(self, key, value):
         with pytest.raises(ValueError, match=key):
             SolverConfig(**{key: value})
@@ -449,10 +450,9 @@ class TestSolverFrame:
     @pytest.mark.parametrize("solution_rank,ranks", [(None, (8, 60, 8)), (6, (7, 30, 7))])
     def test_recovery_ranks(self, solution_rank, ranks):
         b = tt_random([8, 8, 8, 8], [7, 30, 7], seed=0)  # default solution rank 60
-        cfg = SolverConfig(solution_rank=solution_rank, oversampling=5)
-        frame = make_solver_frame(b, cfg, seed=1)
+        frame = make_solver_frame(b, SolverConfig(solution_rank=solution_rank), seed=1)
         assert frame.right.ranks[1:-1] == ranks
-        assert frame.left.ranks[1:-1] == tuple(r + 5 for r in ranks)
+        assert frame.left.ranks[1:-1] == tuple(r + FRAME_OVERSAMPLING for r in ranks)
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_as_accurate_as_a_double_frame(self, seed):
@@ -624,6 +624,31 @@ class TestNonFiniteInput:
         x0.cores[0][0, 0, 0] = np.inf
         with pytest.raises(NonFiniteCore, match="core 0"):
             tt_gmres(op, rhs, x0, SolverConfig(maxit=10, tol=1e-6))
+
+    # these used to reach LAPACK in tt_sgmres ("DLASCL parameter number 4
+    # had an illegal value", then "SVD did not converge in Linear Least
+    # Squares"), and tt_gmres and tt_spgmres named a core of a Krylov vector
+    @pytest.mark.parametrize("solver", ["gmres", "vanilla", "sgmres", "sgmres-stta", "spgmres"])
+    def test_nan_operator_core_rejected(self, solver, capfd):
+        op, rhs = _small_problem()
+        op = op.copy()
+        op.op_cores[1][1, 0, 0, 0] = np.nan
+        mode = "stta" if solver == "sgmres-stta" else "explicit"
+        cfg = SolverConfig(maxit=10, tol=1e-6, seed=0, combine_mode=mode)
+        with pytest.raises(NonFiniteCore, match="^operator core 1 holds a non-finite entry$"):
+            run_variant(solver.removesuffix("-stta"), op, rhs, None, cfg)
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("solver", ["vanilla", "sgmres", "sgmres-stta", "spgmres"])
+    def test_nan_sketch_factor_rejected(self, solver, capfd):
+        op, rhs = _small_problem()
+        mode = "stta" if solver == "sgmres-stta" else "explicit"
+        cfg = SolverConfig(maxit=10, tol=1e-6, seed=0, combine_mode=mode)
+        s = kr_sketch_new(rhs.dims, cfg.sketch_rows, seed=1)
+        s.factors[2][3, 1] = np.nan
+        with pytest.raises(NonFiniteCore, match="^sketch factor 2 holds a non-finite entry$"):
+            run_variant(solver.removesuffix("-stta"), op, rhs, None, cfg, sketch=s)
+        assert capfd.readouterr() == ("", "")
 
 
 # ---------------------------------------------------------------------------

@@ -553,7 +553,7 @@ class TestAdaptiveStreamedSum:
                           RoundSpec(1e-8))
         assert events == ["form", "sketch"] * 3
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "0"])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "0", True])
     def test_bad_seed(self, seed):
         v = tt_random([4, 4, 4], [2, 2], seed=1)
         with pytest.raises(ValueError, match="nonnegative integer"):

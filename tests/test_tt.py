@@ -10,6 +10,8 @@ from ttkrylov.problems import (
     convection_diffusion,
     markov_chain,
 )
+from ttkrylov.sketch import kr_sketch_new
+from ttkrylov.streaming import StreamFrame, tt_drm_new
 from ttkrylov.tt import (
     NonFiniteCore,
     RoundedSum,
@@ -18,6 +20,7 @@ from ttkrylov.tt import (
     SizeLimit,
     TTOperator,
     TTVector,
+    check_count,
     identity_operator,
     kron_sum_operator,
     load_operator,
@@ -784,6 +787,81 @@ class TestSerialization:
         p.write_bytes(bytes(data))
         with pytest.raises(ValueError, match="corrupt"):
             load_vector(p)
+
+
+class TestChainChecks:
+    """TTVector and TTOperator share one check of their core chain."""
+
+    @pytest.mark.parametrize("cls, shapes, message", [
+        (TTVector, [(1, 2, 2, 1)], "core 0 must be order 3"),
+        (TTOperator, [(1, 2, 2, 1), (1, 2, 1)], "op core 1 must be order 4"),
+        (TTVector, [(1, 2, 3), (2, 3, 1)], "rank chain broken between cores 0 and 1"),
+        (TTOperator, [(1, 2, 2, 3), (2, 3, 3, 1)], "op rank chain broken between cores 0 and 1"),
+        (TTVector, [(2, 2, 1)], "boundary ranks"),
+        (TTOperator, [(1, 2, 2, 2)], "boundary op ranks"),
+    ], ids=["vector order", "operator order", "vector chain", "operator chain",
+            "vector boundary", "operator boundary"])
+    def test_malformed_cores(self, cls, shapes, message):
+        with pytest.raises(ShapeMismatch, match=message):
+            cls([np.zeros(shape) for shape in shapes])
+
+    @pytest.mark.parametrize("cls", [TTVector, TTOperator])
+    def test_no_cores(self, cls):
+        with pytest.raises(ValueError, match="at least one core"):
+            cls([])
+
+
+# each entry point that takes a count, as a function of that one count
+COUNT_ENTRY_POINTS = {
+    "max_rank": lambda c: RoundSpec(1e-8, c),
+    "rows": lambda c: kr_sketch_new([4, 5, 4], c),
+    "oversampling": lambda c: StreamFrame.create([4, 5, 4], [2, 2], oversampling=c),
+    "recovery_ranks": lambda c: StreamFrame.create([4, 5, 4], [c, 2]),
+    "ranks": lambda c: tt_random([4, 5, 4], [c, 2]),
+    "ranks of a TT-DRM": lambda c: tt_drm_new([4, 5, 4], [2, c]),
+    "d of a CD problem": lambda c: ConvectionDiffusionSpec(d=c, n=5),
+    "n of a CD problem": lambda c: ConvectionDiffusionSpec(d=3, n=c),
+    "d of a Markov chain": lambda c: MarkovSpec(d=c, n=5),
+    "n of a Markov chain": lambda c: MarkovSpec(d=3, n=c),
+}
+
+
+class TestCountCheck:
+    @pytest.mark.parametrize("value", [2.5, 3.0, np.float64(3.0), "3", True, np.True_, None])
+    def test_non_integers_rejected(self, value):
+        with pytest.raises(ValueError, match=r"^count must be an integer >= 1, got "):
+            check_count(value, "count")
+
+    @pytest.mark.parametrize("value, minimum", [(0, 1), (1, 2), (-1, 0)])
+    def test_too_small_rejected(self, value, minimum):
+        with pytest.raises(ValueError, match="count must be"):
+            check_count(value, "count", minimum)
+
+    def test_minimum_zero_says_nonnegative(self):
+        with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got -1$"):
+            check_count(-1, "seed", 0)
+
+    @pytest.mark.parametrize("value", [3, np.int64(3), np.uint8(3), np.int32(3)])
+    def test_integers_returned_as_int(self, value):
+        assert type(check_count(value, "count")) is int
+        assert check_count(value, "count") == 3
+
+    # a float count used to fail inside numpy, a float rank to be truncated
+    # and a bool to be taken as 1
+    @pytest.mark.parametrize("value", [2.5, True, np.float64(3.0), 0])
+    @pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+    def test_entry_points_reject_non_integers(self, entry, value):
+        with pytest.raises(ValueError, match=entry.split()[0]):
+            COUNT_ENTRY_POINTS[entry](value)
+
+    @pytest.mark.parametrize("entry", COUNT_ENTRY_POINTS)
+    def test_entry_points_accept_numpy_integers(self, entry):
+        COUNT_ENTRY_POINTS[entry](np.int64(3))
+
+    @pytest.mark.parametrize("rel_tol", [np.nan, -1e-8])
+    def test_bad_rel_tol(self, rel_tol):
+        with pytest.raises(ValueError, match="rel_tol must be nonnegative"):
+            RoundSpec(rel_tol)
 
 
 class TestMaxRank:
