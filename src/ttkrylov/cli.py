@@ -38,10 +38,25 @@ library's default, and a section or key not listed here is an error:
 * ``[compare]``: ``variants``, and ``[sweep]``: ``axis`` and ``values``,
   for the subcommands below.
 
-Subcommands: ``ttk solve``, ``ttk compare`` (a [compare] section lists
-variants), ``ttk sweep`` (a [sweep] section gives axis and values).
-``--maxit``, ``--tol``, ``--seed`` and ``--track-true-residual`` override
-the config.
+Subcommands, each one loop over its variants and points (``run``); every
+run prints a summary line and then its warnings, and every file goes to
+``--out-dir`` (default: the working directory):
+
+* ``ttk solve`` runs the [solver] type and writes its iteration trace
+  (columns ``CSV_HEADER``) to the [output] ``csv`` file, default
+  ``trace.csv``.
+* ``ttk compare`` runs each variant of the [compare] list, writes each
+  trace to ``<variant>.csv`` and one row per run (columns
+  ``TABLE_HEADER``) to ``summary.csv``.
+* ``ttk sweep`` runs the [compare] list, or else the [solver] type, at each
+  value of the [sweep] axis (``d``, ``n`` or ``max_rank``; ``none`` or
+  ``inf`` lifts the cap) and writes one row per run to ``sweep.csv``; it
+  writes no traces.
+
+Exit codes: 0 on success; 1 on a config error, which is printed to
+stderr; 2 when a ``solve`` or ``compare`` run did not converge.  ``sweep``
+returns 0 whether or not its runs converged.  ``--maxit``, ``--tol``,
+``--seed`` and ``--track-true-residual`` override the config.
 """
 
 from __future__ import annotations
@@ -77,7 +92,7 @@ from .tt import RoundSpec
 
 
 class ConfigError(Exception):
-    pass
+    """A config file, or an option, that ``ttk`` cannot run."""
 
 
 CSV_HEADER = ["iter", "res_sketched", "res_true", "max_rank"] + [f"t_{p}" for p in PHASES]
@@ -85,7 +100,7 @@ TABLE_HEADER = [
     "axis", "value", "variant", "time", "iterations",
     "peak_rank", "kept_mb", "res_sketched", "res_true", "converged",
 ]
-SOLVER_NAMES = ("tt_gmres", "tt_sgmres_vanilla", "tt_sgmres", "tt_spgmres")
+SOLVERS = {f.__name__: f for f in (tt_gmres, tt_sgmres_vanilla, tt_sgmres, tt_spgmres)}
 PROBLEMS = {
     "convection_diffusion": (ConvectionDiffusionSpec, convection_diffusion, cd_factor_matrices),
     "markov_chain": (MarkovSpec, markov_chain, markov_factor_matrices),
@@ -169,10 +184,9 @@ def parse_config(path):
         cp.read(path)
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config: {exc}") from exc
-    if "problem" not in cp:
-        raise ConfigError("missing [problem] section")
-    if "solver" not in cp:
-        raise ConfigError("missing [solver] section")
+    for section in ("problem", "solver"):
+        if section not in cp:
+            raise ConfigError(f"missing [{section}] section")
     _check_keys(cp)
     return cp
 
@@ -224,72 +238,75 @@ def run_variant(name, cp, overrides, problem=None):
     frames come from seed s+7.  The wall time includes the preconditioner
     set-up.
     """
-    if name not in SOLVER_NAMES:
+    solver = SOLVERS.get(name)
+    if solver is None:
         raise ConfigError(f"unknown solver name '{name}'")
     cfg = build_solver_config(cp, overrides)
     op, rhs, factors = problem if problem is not None else build_problem(cp)
     t0 = time.perf_counter()
-    if name == "tt_gmres":
-        _, report = tt_gmres(op, rhs, None, cfg)
-    else:
-        sketch = kr_sketch_new(rhs.dims, cfg.sketch_rows, seed=cfg.seed)
-        if name == "tt_spgmres":
-            precond = build_preconditioner(cp, factors, cfg)
-            if precond is None:
-                raise ConfigError("tt_spgmres requires an expsum [preconditioner]")
-            _, report = tt_spgmres(op, precond, rhs, None, cfg, sketch)
-        else:
-            solver = tt_sgmres if name == "tt_sgmres" else tt_sgmres_vanilla
-            _, report = solver(op, rhs, None, cfg, sketch)
+    inputs = [op, rhs, None, cfg]
+    if solver is not tt_gmres:
+        inputs.append(kr_sketch_new(rhs.dims, cfg.sketch_rows, seed=cfg.seed))
+    if solver is tt_spgmres:
+        precond = build_preconditioner(cp, factors, cfg)
+        if precond is None:
+            raise ConfigError("tt_spgmres requires an expsum [preconditioner]")
+        inputs.insert(1, precond)
+    _, report = solver(*inputs)
     return report, time.perf_counter() - t0
 
 
-def write_trace(path, report):
+def _write_csv(path, header, rows):
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for i in range(report.iterations):
-            true_val = "" if report.res_true is None else f"{report.res_true[i]:.17g}"
-            writer.writerow(
-                [i + 1, f"{report.res_sketched[i]:.17g}", true_val, report.basis_rank[i]]
-                + [f"{report.times[p][i]:.6g}" for p in PHASES]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
-def summary_line(name, report, wall):
-    final_true = ""
-    if report.res_true:
-        final_true = f" res_true={report.res_true[-1]:.3e}"
-    return (
-        f"{name}: iterations={report.iterations} converged={report.converged} "
-        f"res_sketched={report.res_sketched[-1]:.3e}{final_true} "
-        f"peak_rank={report.peak_rank} wall={wall:.2f}s"
-    )
+def _trace_rows(report):
+    """The rows of ``report``'s iteration trace (columns ``CSV_HEADER``)."""
+    for i in range(report.iterations):
+        true_val = "" if report.res_true is None else f"{report.res_true[i]:.17g}"
+        yield ([i + 1, f"{report.res_sketched[i]:.17g}", true_val, report.basis_rank[i]]
+               + [f"{report.times[p][i]:.6g}" for p in PHASES])
 
 
-def _out_dir(args):
-    out_dir = args.out_dir or "."
-    os.makedirs(out_dir, exist_ok=True)
-    return out_dir
+def _list(cp, section, key):
+    return [v.strip() for v in _get(cp, section, key, required=True).split(",")]
 
 
-def run_table(cp, args, table, axis=None, values=(None,), traces=False):
-    """Run every variant at every point and write one row per run to
-    ``<table>.csv`` (columns ``TABLE_HEADER``; ``kept_mb`` is the report's
-    ``kept_mb``); returns whether every run converged.
+def run(args):
+    """Run the command ``args.command`` on ``args.config``: every variant at
+    every point, in order; returns the exit code.
 
-    The variants are the [compare] list, else the [solver] type.  Without
-    an axis the config itself is the only point.  With ``traces`` each
-    run's iteration trace goes to ``<variant>.csv``.  Each run's warnings
-    are printed after its summary line.
+    The variants are the [solver] type for ``solve``, the [compare] list for
+    ``compare``, and for ``sweep`` the [compare] list or else the [solver]
+    type.  The points are the [sweep] values, each a copy of the config with
+    the axis set, or else the config itself.  Each run prints its summary
+    line, then its warnings; its table row (columns ``TABLE_HEADER``) holds
+    the same values.
     """
-    if "compare" in cp:
-        variants = [v.strip() for v in _get(cp, "compare", "variants", required=True).split(",")]
+    command = args.command
+    cp = parse_config(args.config)
+    if command != "solve" and command not in cp:
+        raise ConfigError(f"missing [{command}] section")
+    axis, values = None, [None]
+    if command == "sweep":
+        axis = _get(cp, "sweep", "axis", required=True)
+        if axis not in ("d", "n", "max_rank"):
+            raise ConfigError(f"sweep axis must be d, n or max_rank, got '{axis}'")
+        values = [v for v in _list(cp, "sweep", "values") if v]
+        if not values:
+            raise ConfigError("empty sweep value list")
+    if command != "solve" and "compare" in cp:
+        variants = _list(cp, "compare", "variants")
         if not all(variants):
             raise ConfigError("empty variant list")
     else:
         variants = [_get(cp, "solver", "type", required=True)]
-    out_dir = _out_dir(args)
+    out_dir = args.out_dir or "."
+    solve_trace = _get(cp, "output", "csv") or "trace.csv"
     rows = []
     for value in values:
         point = cp
@@ -301,61 +318,32 @@ def run_table(cp, args, table, axis=None, values=(None,), traces=False):
             else:
                 point["problem"][axis] = value
         problem = build_problem(point)
-        prefix = "" if axis is None else f"{axis}={value} "
         for name in variants:
             report, wall = run_variant(name, point, args, problem=problem)
-            if traces:
-                write_trace(os.path.join(out_dir, f"{name}.csv"), report)
-            print(prefix + summary_line(name, report, wall))
-            for w in report.warnings:
-                print(f"warning: {w}")
-            final_true = f"{report.res_true[-1]:.6e}" if report.res_true else ""
+            if command != "sweep":
+                trace = os.path.join(out_dir, solve_trace if command == "solve" else f"{name}.csv")
+                _write_csv(trace, CSV_HEADER, _trace_rows(report))
+            res_true = report.res_true[-1] if report.res_true else None
             rows.append([
                 axis or "", value or "", name, f"{wall:.4f}", report.iterations,
                 report.peak_rank, f"{report.kept_mb:.4f}", f"{report.res_sketched[-1]:.6e}",
-                final_true, report.converged,
+                "" if res_true is None else f"{res_true:.6e}", report.converged,
             ])
-    path = os.path.join(out_dir, f"{table}.csv")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TABLE_HEADER)
-        writer.writerows(rows)
-    print(f"{table} written to {path}")
-    return all(row[-1] for row in rows)
-
-
-def cmd_solve(args):
-    cp = parse_config(args.config)
-    solver = _get(cp, "solver", "type", required=True)
-    report, wall = run_variant(solver, cp, args)
-    path = os.path.join(_out_dir(args), _get(cp, "output", "csv") or "trace.csv")
-    write_trace(path, report)
-    print(summary_line(solver, report, wall))
-    print(f"trace written to {path}")
-    for w in report.warnings:
-        print(f"warning: {w}")
-    return 0 if report.converged else 2
-
-
-def cmd_compare(args):
-    cp = parse_config(args.config)
-    if "compare" not in cp:
-        raise ConfigError("missing [compare] section")
-    return 0 if run_table(cp, args, "summary", traces=True) else 2
-
-
-def cmd_sweep(args):
-    cp = parse_config(args.config)
-    if "sweep" not in cp:
-        raise ConfigError("missing [sweep] section")
-    axis = _get(cp, "sweep", "axis", required=True)
-    if axis not in ("d", "n", "max_rank"):
-        raise ConfigError(f"sweep axis must be d, n or max_rank, got '{axis}'")
-    values = [v.strip() for v in _get(cp, "sweep", "values", required=True).split(",") if v.strip()]
-    if not values:
-        raise ConfigError("empty sweep value list")
-    run_table(cp, args, "sweep", axis, values)
-    return 0
+            print(("" if axis is None else f"{axis}={value} ")
+                  + f"{name}: iterations={report.iterations} converged={report.converged} "
+                  f"res_sketched={report.res_sketched[-1]:.3e}"
+                  + ("" if res_true is None else f" res_true={res_true:.3e}")
+                  + f" peak_rank={report.peak_rank} wall={wall:.2f}s")
+            for w in report.warnings:
+                print(f"warning: {w}")
+    if command == "solve":
+        print(f"trace written to {trace}")
+    else:
+        table = "summary" if command == "compare" else "sweep"
+        path = os.path.join(out_dir, f"{table}.csv")
+        _write_csv(path, TABLE_HEADER, rows)
+        print(f"{table} written to {path}")
+    return 0 if command == "sweep" or all(row[-1] for row in rows) else 2
 
 
 def main(argv=None):
@@ -363,7 +351,7 @@ def main(argv=None):
         prog="ttk", description="tensor-train sketched GMRES experiment driver"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("solve", cmd_solve), ("compare", cmd_compare), ("sweep", cmd_sweep)):
+    for name in ("solve", "compare", "sweep"):
         p = sub.add_parser(name)
         p.add_argument("config")
         p.add_argument("--seed", type=int, default=None)
@@ -371,10 +359,9 @@ def main(argv=None):
         p.add_argument("--track-true-residual", action="store_true")
         p.add_argument("--maxit", type=int, default=None)
         p.add_argument("--tol", type=float, default=None)
-        p.set_defaults(fn=fn)
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

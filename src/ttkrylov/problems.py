@@ -5,6 +5,7 @@ dense reference assembly for small oracles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,13 +42,15 @@ class ConvectionDiffusionSpec:
     def __post_init__(self):
         check_count(self.d, "d")
         check_count(self.n, "n", 2)
-        if self.diffusion <= 0:
-            raise ValueError("diffusion must be positive")
+        if not 0 < self.diffusion < math.inf:  # NaN too
+            raise ValueError(f"diffusion must be positive and finite, got {self.diffusion!r}")
         if self.convection is None:
             self.convection = tuple([1e-2] * self.d)
         self.convection = tuple(map(float, self.convection))
         if len(self.convection) != self.d:
             raise ValueError("convection must have length d")
+        if not all(map(math.isfinite, self.convection)):
+            raise ValueError(f"convection must be finite, got {self.convection!r}")
 
     @property
     def h(self) -> float:
@@ -101,6 +104,10 @@ class MarkovSpec:
     def __post_init__(self):
         check_count(self.d, "d", 2)  # synchronizations need neighbours
         check_count(self.n, "n", 2)
+        check_count(self.seed, "seed", 0)
+        for name in ("sync_rate", "rate_low", "rate_high"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.rate_low > self.rate_high:
             raise ValueError("rate_low must be <= rate_high")
 
@@ -178,9 +185,9 @@ def markov_factor_matrices(spec: MarkovSpec):
     return [-q.T for q in markov_rate_matrices(spec)]
 
 
-def dense_reference(op: TTOperator, rhs: TTVector, max_entries: int = DENSE_CAP):
+def dense_reference(op: TTOperator, rhs: TTVector):
     """Exact dense matricization of a problem, for small oracles only."""
     total = int(np.prod(rhs.dims, dtype=np.int64))
-    if total**2 > max_entries:
+    if total**2 > DENSE_CAP:
         raise SizeLimit(f"dense system would have {total}^2 entries")
-    return tt_op_to_dense(op, max_entries), tt_to_dense(rhs, max_entries).ravel()
+    return tt_op_to_dense(op), tt_to_dense(rhs).ravel()

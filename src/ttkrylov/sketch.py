@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tt import ShapeMismatch, TTVector, check_count
+from .tt import ShapeMismatch, TTVector, check_count, check_seed
 
 # memory budget (floats) for the per-mode intermediate of kr_apply; a few
 # hundred KiB, so that no sketch needs a large short-lived array
@@ -38,10 +38,10 @@ class KhatriRaoSketch:
 def kr_sketch_new(dims, rows: int, seed=0) -> KhatriRaoSketch:
     """Draw a fresh Khatri-Rao sketch; deterministic for a given seed."""
     rows = check_count(rows, "rows")
-    dims = list(dims)
+    dims = [check_count(n, "dims") for n in dims]
     d = len(dims)
     std = float(rows) ** (-0.5 / d)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     factors = [rng.normal(0.0, std, size=(rows, n)) for n in dims]
     return KhatriRaoSketch(factors)
 

@@ -32,6 +32,7 @@ from .tt import (
     TTVector,
     attainable_ranks,
     check_count,
+    check_seed,
     mode_multiply,
     tt_add,
     tt_round,
@@ -67,12 +68,12 @@ def tt_drm_new(dims, ranks, seed=0) -> TTVector:
     Core k has i.i.d. N(0, 1/(l_{k-1} n_k l_k)) entries, so partial
     contractions against it behave like properly scaled Gaussian sketches.
     """
-    dims = list(dims)
+    dims = [check_count(n, "dims") for n in dims]
     d = len(dims)
     ranks = [check_count(r, "ranks") for r in ranks]
     if len(ranks) != d - 1:
         raise ValueError("ranks must have length d-1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     full = [1, *ranks, 1]
     cores = []
     for k, n in enumerate(dims):
@@ -101,16 +102,19 @@ class StreamFrame:
 
     @classmethod
     def create(cls, dims, recovery_ranks, oversampling: int = 20, seed=0) -> "StreamFrame":
-        """Build a frame; recovery ranks are clipped to attainable values."""
-        dims = list(dims)
+        """Build a frame; recovery ranks are clipped to attainable values.
+
+        ``seed`` is taken by ``check_seed``.  A ``SeedSequence`` spawns the
+        two maps' seeds, so each call with the same one draws a new frame.
+        """
+        dims = [check_count(n, "dims") for n in dims]
         ranks = [check_count(r, "recovery_ranks") for r in recovery_ranks]
         if len(ranks) != len(dims) - 1:
             raise ValueError("recovery_ranks must have length d-1")
         oversampling = check_count(oversampling, "oversampling")
         ranks = [min(r, f) for r, f in zip(ranks, attainable_ranks(dims))]
         lranks = [r + oversampling for r in ranks]
-        ss = np.random.SeedSequence(seed)
-        s_right, s_left = ss.spawn(2)
+        s_right, s_left = check_seed(seed).spawn(2)
         return cls(
             right=tt_drm_new(dims, ranks, seed=s_right),
             left=tt_drm_new(dims, lranks, seed=s_left),

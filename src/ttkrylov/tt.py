@@ -50,6 +50,18 @@ def check_count(value, name: str, minimum: int = 1) -> int:
     return count
 
 
+def check_seed(seed) -> np.random.SeedSequence:
+    """``seed`` as a ``SeedSequence``; ValueError naming the seed unless it
+    is a nonnegative Python or numpy integer, a list of such integers, or a
+    ``SeedSequence`` (returned as it is).  ``default_rng(check_seed(s))``
+    draws what ``default_rng(s)`` does."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    if isinstance(seed, list):
+        return np.random.SeedSequence([check_count(s, "seed", 0) for s in seed])
+    return np.random.SeedSequence(check_count(seed, "seed", 0))
+
+
 @dataclass(frozen=True)
 class RoundSpec:
     """Rounding control: relative Frobenius tolerance and optional rank cap."""
@@ -167,14 +179,14 @@ def tt_random(dims, ranks, seed=0) -> TTVector:
     `ranks` gives the interior rank profile (r_1, ..., r_{d-1}); it is
     clipped so every unfolding rank stays attainable.
     """
-    dims = list(dims)
+    dims = [check_count(n, "dims") for n in dims]
     d = len(dims)
     ranks = list(ranks) if d > 1 else []
     if len(ranks) != max(d - 1, 0):
         raise ValueError("ranks must have length d-1")
     full = [1, *(min(check_count(r, "ranks"), f)
                  for r, f in zip(ranks, attainable_ranks(dims))), 1]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     cores = [rng.standard_normal((full[k], dims[k], full[k + 1])) for k in range(d)]
     return TTVector(cores)
 
@@ -188,11 +200,11 @@ def identity_operator(dims) -> TTOperator:
 # dense conversions
 
 
-def tt_to_dense(v: TTVector, max_entries: int = DENSE_CAP) -> np.ndarray:
+def tt_to_dense(v: TTVector) -> np.ndarray:
     """Contract the core chain into a dense d-mode array (C-order modes)."""
     total = int(np.prod(v.dims, dtype=np.int64))
-    if total > max_entries:
-        raise SizeLimit(f"dense tensor would have {total} entries (cap {max_entries})")
+    if total > DENSE_CAP:
+        raise SizeLimit(f"dense tensor would have {total} entries (cap {DENSE_CAP})")
     m = v.cores[0].reshape(v.dims[0], -1)
     for c in v.cores[1:]:
         m = m @ c.reshape(c.shape[0], -1)
@@ -200,11 +212,11 @@ def tt_to_dense(v: TTVector, max_entries: int = DENSE_CAP) -> np.ndarray:
     return m.reshape(v.dims)
 
 
-def tt_op_to_dense(a: TTOperator, max_entries: int = DENSE_CAP) -> np.ndarray:
+def tt_op_to_dense(a: TTOperator) -> np.ndarray:
     """Dense matricization of a TT operator (row-major mode fusion)."""
     d = a.d
     # split each fused mode (m_k n_k) and put the row modes first
-    t = tt_to_dense(_op_as_vector(a), max_entries)
+    t = tt_to_dense(_op_as_vector(a))
     t = t.reshape([x for mn in zip(a.row_dims, a.col_dims) for x in mn])
     t = t.transpose([*range(0, 2 * d, 2), *range(1, 2 * d, 2)])
     return t.reshape(math.prod(a.row_dims), math.prod(a.col_dims))
@@ -648,8 +660,10 @@ def tt_op_shift_core(a: TTOperator) -> np.ndarray | None:
 def kron_sum_operator(factors) -> TTOperator:
     """Kronecker sum of square matrices as a TT operator.
 
-    Factor i acts on mode i; interior op-ranks are 2 (identity/passthrough
-    two-channel construction).
+    Factor i acts on mode i; interior op-ranks are 2.  Every core is the
+    two-channel block [[I, 0], [F_i, I]] (channel 0 has applied its factor,
+    channel 1 not yet), cut to its second row at mode 0 and to its
+    first column at mode d-1.
     """
     mats = [np.asarray(f, dtype=np.float64) for f in factors]
     for i, f in enumerate(mats):
@@ -658,26 +672,16 @@ def kron_sum_operator(factors) -> TTOperator:
     d = len(mats)
     if d == 0:
         raise ValueError("need at least one factor")
-    if d == 1:
-        n = mats[0].shape[0]
-        return TTOperator([mats[0].reshape(1, n, n, 1)])
     cores = []
     for i, f in enumerate(mats):
         n = f.shape[0]
         eye = np.eye(n)
-        if i == 0:
-            c = np.zeros((1, n, n, 2))
-            c[0, :, :, 0] = f
-            c[0, :, :, 1] = eye
-        elif i == d - 1:
-            c = np.zeros((2, n, n, 1))
-            c[0, :, :, 0] = eye
-            c[1, :, :, 0] = f
-        else:
-            c = np.zeros((2, n, n, 2))
-            c[0, :, :, 0] = eye
-            c[1, :, :, 0] = f
-            c[1, :, :, 1] = eye
+        first, last = int(i == 0), int(i == d - 1)
+        # the block's rows first..1 and columns 0..1-last, allocated as cut
+        c = np.zeros((2 - first, n, n, 2 - last))
+        for row, col, m in ((0, 0, eye), (1, 0, f), (1, 1, eye)):
+            if row >= first and col < 2 - last:
+                c[row - first, :, :, col] = m
         cores.append(c)
     return TTOperator(cores)
 

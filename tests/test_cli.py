@@ -135,6 +135,13 @@ class TestSolve:
         assert main(["solve", cfg, "--out-dir", str(tmp_path)]) == 1
         assert capsys.readouterr().err == "config error: unknown section [solvr]\n"
 
+    def test_non_finite_problem_parameter_exits_1(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "nan.cfg", BASE_PDE.replace("n = 5", "n = 5\ndiffusion = nan"))
+        assert main(["solve", cfg, "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: invalid problem configuration: "
+            "diffusion must be positive and finite, got nan\n")
+
     def test_maxit_exhausted_exits_2(self, tmp_path):
         cfg = write_cfg(tmp_path / "f.cfg", BASE_PDE.replace("maxit = 60", "maxit = 3"))
         assert main(["solve", cfg, "--out-dir", str(tmp_path)]) == 2
@@ -235,6 +242,15 @@ class TestTableWarnings:
             assert ("caps the basis" in lines[i + 1]) == sgmres
             if sgmres:
                 assert lines[i + 1].startswith("warning: iteration")
+
+    def test_solve_prints_warnings_before_the_trace_line(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "w.cfg", CAPPED_STTA)
+        assert main(["solve", cfg, "--out-dir", str(tmp_path)]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("tt_sgmres: iterations=")
+        assert "caps the basis" in lines[1]
+        assert all(line.startswith("warning: iteration") for line in lines[1:-1])
+        assert lines[-1] == f"trace written to {tmp_path / 'run.csv'}"
 
 
 NO_OVERRIDES = argparse.Namespace(maxit=None, tol=None, seed=None, track_true_residual=False)

@@ -152,6 +152,27 @@ class TestMarkovSystem:
             assert np.diag(f).min() >= 0
 
 
+class TestParameterChecks:
+    # these were accepted (a NaN operator), or failed inside numpy or in the
+    # generator's rounding, naming no field
+    @pytest.mark.parametrize("field, make", [
+        ("diffusion", lambda x: ConvectionDiffusionSpec(d=3, n=4, diffusion=x)),
+        ("convection", lambda x: ConvectionDiffusionSpec(d=3, n=4, convection=(0.1, x, 0.0))),
+        ("sync_rate", lambda x: MarkovSpec(d=3, n=4, sync_rate=x)),
+        ("rate_low", lambda x: MarkovSpec(d=3, n=4, rate_low=x)),
+        ("rate_high", lambda x: MarkovSpec(d=3, n=4, rate_high=x)),
+    ])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, field, make, value):
+        with pytest.raises(ValueError, match=f"^{field} must be .*finite, got "):
+            make(value)
+
+    @pytest.mark.parametrize("seed", [1.5, -1, True])
+    def test_bad_markov_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="^seed must be a nonnegative integer"):
+            MarkovSpec(d=3, n=4, seed=seed)
+
+
 class TestDenseReference:
     def test_round_trips_small_problem(self):
         spec = ConvectionDiffusionSpec(d=2, n=4)

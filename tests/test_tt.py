@@ -21,6 +21,7 @@ from ttkrylov.tt import (
     TTOperator,
     TTVector,
     check_count,
+    check_seed,
     identity_operator,
     kron_sum_operator,
     load_operator,
@@ -666,6 +667,29 @@ class TestKronSum:
         with pytest.raises(ShapeMismatch):
             kron_sum_operator([np.zeros((2, 3))])
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_core_layout(self, d):
+        # mode 0: [F, I]; middle modes: [[I, 0], [F, I]]; mode d-1: [I; F]
+        rng = np.random.default_rng(33)
+        fs = [rng.standard_normal((n, n)) for n in (3, 2, 4)[:d]]
+        fs[0][1, 2] = -0.0
+        want = []
+        for i, f in enumerate(fs):
+            n, eye = f.shape[0], np.eye(f.shape[0])
+            if d == 1:
+                c = f.reshape(1, n, n, 1).copy()
+            elif i == 0:
+                c = np.stack([f, eye], axis=-1)[None]
+            elif i == d - 1:
+                c = np.stack([eye, f])[..., None]
+            else:
+                c = np.stack([np.stack([eye, np.zeros((n, n))], axis=-1),
+                              np.stack([f, eye], axis=-1)])
+            want.append(c)
+        got = kron_sum_operator(fs).op_cores
+        assert [c.shape for c in got] == [c.shape for c in want]
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
 
 def _shifted(a, e, sigma):
     return TTOperator([*a.op_cores[:-1], a.op_cores[-1] + sigma * e])
@@ -862,6 +886,60 @@ class TestCountCheck:
     def test_bad_rel_tol(self, rel_tol):
         with pytest.raises(ValueError, match="rel_tol must be nonnegative"):
             RoundSpec(rel_tol)
+
+
+def _frame_cores(seed, dims=(4, 5, 4)):
+    frame = StreamFrame.create(dims, [2, 2], seed=seed)
+    return frame.right.cores + frame.left.cores
+
+
+# each random draw, as a function of its seed and of its mode sizes
+SEED_ENTRY_POINTS = {
+    "kr_sketch_new": lambda seed, dims=(4, 5, 4): kr_sketch_new(dims, 10, seed=seed).factors,
+    "tt_random": lambda seed, dims=(4, 5, 4): tt_random(dims, [2, 2], seed=seed).cores,
+    "tt_drm_new": lambda seed, dims=(4, 5, 4): tt_drm_new(dims, [2, 2], seed=seed).cores,
+    "StreamFrame.create": _frame_cores,
+}
+
+
+class TestSeedCheck:
+    @pytest.mark.parametrize("seed", [5, np.int64(5), np.uint8(5), [5, 2], [np.int32(5), 0], []])
+    def test_same_draws_as_numpy(self, seed):
+        ss = check_seed(seed)
+        assert isinstance(ss, np.random.SeedSequence)
+        assert np.array_equal(np.random.default_rng(ss).standard_normal(8),
+                              np.random.default_rng(seed).standard_normal(8))
+
+    def test_seed_sequence_returned_as_is(self):
+        ss = np.random.SeedSequence(4)
+        assert check_seed(ss) is ss
+
+    @pytest.mark.parametrize("seed", [1.5, -1, True, np.float64(2.0), "3", None, [1, -1], [2.5]])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="^seed must be a nonnegative integer, got "):
+            check_seed(seed)
+
+    # these seeds used to fail inside numpy, with its TypeError or ValueError
+    @pytest.mark.parametrize("seed", [1.5, -1, True, [3, -2]])
+    @pytest.mark.parametrize("entry", SEED_ENTRY_POINTS)
+    def test_entry_points_reject_bad_seeds(self, entry, seed):
+        with pytest.raises(ValueError, match="^seed must be a nonnegative integer"):
+            SEED_ENTRY_POINTS[entry](seed)
+
+    @pytest.mark.parametrize("seed", [np.int64(7), [7]])
+    @pytest.mark.parametrize("entry", SEED_ENTRY_POINTS)
+    def test_entry_points_draw_as_numpy_does(self, entry, seed):
+        # a numpy integer draws what the int does, a list what numpy makes of it
+        want = 7 if isinstance(seed, np.integer) else np.random.SeedSequence(seed)
+        got, ref = SEED_ENTRY_POINTS[entry](seed), SEED_ENTRY_POINTS[entry](want)
+        assert all(g.tobytes() == r.tobytes() for g, r in zip(got, ref))
+
+    # a zero mode used to be accepted, or to blame the recovery ranks
+    @pytest.mark.parametrize("dims", [(0, 4, 4), (4, 0, 4), (4, 2.5, 4), (4, True, 4)])
+    @pytest.mark.parametrize("entry", SEED_ENTRY_POINTS)
+    def test_entry_points_reject_bad_mode_sizes(self, entry, dims):
+        with pytest.raises(ValueError, match="^dims must be an integer >= 1, got "):
+            SEED_ENTRY_POINTS[entry](0, dims)
 
 
 class TestMaxRank:
