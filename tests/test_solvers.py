@@ -41,6 +41,7 @@ from ttkrylov.tt import (
     tt_matvec,
     tt_norm,
     tt_random,
+    tt_round,
     tt_scale,
     tt_to_dense,
     tt_zero,
@@ -127,6 +128,34 @@ class TestTTGMRES:
         x, rep = tt_gmres(op, rhs, None, cfg)
         assert rep.converged
         assert rel_gap(x, solve_dense(op, rhs)) <= 1e-8
+
+    def test_relaxed_rounding_history(self):
+        # the trace digest's CD run: tt_gmres rounds A z and every
+        # Gram-Schmidt step by pivoted QR, and its iterations and basis
+        # ranks are those of SVD truncation
+        op, rhs = convection_diffusion(ConvectionDiffusionSpec(d=3, n=5))
+        cfg = SolverConfig(maxit=30, tol=1e-8, seed=0, solution_rank=12,
+                           track_true_residual=True)
+        _, rep = tt_gmres(op, rhs, None, cfg)
+        assert rep.converged and rep.iterations == 19
+        assert rep.basis_rank == [2, 3, 4] + [5] * 16
+        assert rep.res_true[-1] == pytest.approx(5.25e-10, rel=1e-2)
+
+    @pytest.mark.parametrize("name", ["gmres", "vanilla", "sgmres", "spgmres"])
+    def test_only_relaxed_steps_round_pivoted(self, name, monkeypatch):
+        # tt_gmres: A z and each of the 1 + ... + k steps of iteration k;
+        # the assembly's roundings and every other variant's keep the SVD
+        calls = []
+
+        def recording(v, spec, **kwargs):
+            calls.append(kwargs.get("pivoted", False))
+            return tt_round(v, spec, **kwargs)
+
+        monkeypatch.setattr(solvers, "tt_round", recording)
+        op, rhs = convection_diffusion(ConvectionDiffusionSpec(d=3, n=4))
+        _, rep = run_variant(name, op, rhs, None, SolverConfig(maxit=6, tol=1e-12, seed=0))
+        k = rep.iterations
+        assert sum(calls) == (k + k * (k + 1) // 2 if name == "gmres" else 0)
 
     def test_nonzero_initial_guess(self):
         op, rhs = convection_diffusion(ConvectionDiffusionSpec(d=3, n=4))

@@ -606,6 +606,97 @@ class TestRoundNonFinite:
         assert issubclass(NonFiniteCore, ValueError)
 
 
+def _decaying_sum(dims, seed):
+    # a sum whose second term sits 1e-3 below the first, so that rounding at
+    # 1e-8 to 1e-1 truncates at some bonds and not at others
+    ranks = [3] * (len(dims) - 1)
+    a, b = tt_random(dims, ranks, seed=seed), tt_random(dims, ranks[::-1], seed=seed + 1)
+    return tt_add(a, tt_scale(b, 1e-3 * tt_norm(a) / tt_norm(b)))
+
+
+_PIVOT_DIMS = [[7, 9], [5, 6, 4], [4, 5, 3, 4]]
+
+
+class TestPivotedRound:
+    """tt_round(..., pivoted=True) against a dense oracle and the SVD path."""
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-4, 1e-1])
+    @pytest.mark.parametrize("dims", _PIVOT_DIMS, ids=lambda d: f"d{len(d)}")
+    def test_error_and_ranks_against_svd(self, dims, tol):
+        v = _decaying_sum(dims, seed=70)
+        r = tt_round(v, RoundSpec(tol), pivoted=True)
+        dense = tt_to_dense(v)
+        assert np.linalg.norm(tt_to_dense(r) - dense) <= tol * np.linalg.norm(dense)
+        # on these sums every rank, not only the first, is at least the SVD's
+        assert all(g >= w for g, w in zip(r.ranks, tt_round(v, RoundSpec(tol)).ranks))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=st.lists(st.integers(1, 5), min_size=2, max_size=4),
+        data=st.data(),
+        rel_tol=st.sampled_from([0.0, 1e-10, 1e-4, 1e-1, 0.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_contract_against_dense(self, dims, data, rel_tol, seed):
+        # later bonds see another carry than the SVD path's, so only the
+        # first rank is bounded below by the SVD's
+        ranks = data.draw(st.lists(st.integers(1, 4), min_size=len(dims) - 1, max_size=len(dims) - 1))
+        v = tt_add(tt_random(dims, ranks, seed=seed), tt_random(dims, ranks[::-1], seed=seed + 1))
+        r = tt_round(v, RoundSpec(rel_tol), pivoted=True)
+        dense = tt_to_dense(v)
+        nrm = np.linalg.norm(dense)
+        assert np.linalg.norm(tt_to_dense(r) - dense) <= rel_tol * nrm + 1e-12 * nrm
+        assert _left_orthonormality_gap(r) <= 1e-12
+        assert all(c.flags.c_contiguous for c in r.cores)
+        assert np.linalg.norm(r.cores[-1]) == pytest.approx(np.linalg.norm(tt_to_dense(r)), rel=1e-12)
+        assert r.ranks[1] >= tt_round(v, RoundSpec(rel_tol)).ranks[1]
+
+    def test_zero_and_cancelled_sums(self):
+        c = tt_random([5, 4, 5], [3, 3], seed=73)
+        for v in (tt_zero([5, 4, 5]), tt_add(c, tt_scale(c, -1.0)),
+                  tt_add(c, tt_scale(c, -(1 - 1e-16)))):
+            r = tt_round(v, RoundSpec(1e-8), pivoted=True)
+            assert r.ranks == (1, 1, 1, 1)
+            assert not np.any(tt_to_dense(r))
+
+    @pytest.mark.parametrize("power", [-600, -1, 3, 500])
+    def test_power_of_two_scaling_is_exact(self, power):
+        v = _decaying_sum([4, 5, 3, 4], seed=74)
+        r = tt_round(v, RoundSpec(1e-4), pivoted=True)
+        rs = tt_round(tt_scale(v, 2.0**power), RoundSpec(1e-4), pivoted=True)
+        assert rs.ranks == r.ranks
+        for got, want in zip(rs.cores[:-1], r.cores[:-1]):
+            assert np.array_equal(got, want)
+        assert np.array_equal(rs.cores[-1], r.cores[-1] * 2.0**power)
+
+    def test_nan_core_rejected(self):
+        v = tt_random([3, 3, 3], [2, 2], seed=75)
+        v.cores[2][1, 0, 0] = np.nan
+        with pytest.raises(NonFiniteCore, match="core 2"):
+            tt_round(v, RoundSpec(1e-8), pivoted=True)
+
+    def test_binding_cap_takes_the_svd(self):
+        # the cap binds at every bond, so every bond is the SVD's truncation
+        v = _decaying_sum([4, 5, 3, 4], seed=76)
+        spec = RoundSpec(1e-8, max_rank=2)
+        got, want = tt_round(v, spec, pivoted=True), tt_round(v, spec)
+        assert got.ranks == want.ranks == (1, 2, 2, 2, 1)
+        for g, w in zip(got.cores, want.cores):
+            assert np.array_equal(g, w)
+
+    def test_cap_binding_at_one_bond(self):
+        # the cap binds at the middle bond only; that bond keeps the best
+        # rank-2 approximation of its B_k, so the error is no worse than the
+        # SVD path's by more than the other bonds' tolerance
+        v = _decaying_sum([3, 6, 6, 3], seed=77)
+        spec = RoundSpec(1e-10, max_rank=4)
+        got, want = tt_round(v, spec, pivoted=True), tt_round(v, spec)
+        assert got.ranks == want.ranks == (1, 3, 4, 3, 1)
+        dense = tt_to_dense(v)
+        err = np.linalg.norm(tt_to_dense(got) - dense)
+        assert err <= np.linalg.norm(tt_to_dense(want) - dense) + 1e-10 * np.linalg.norm(dense)
+
+
 class TestOperatorArithmetic:
     def test_add_zero_operator(self):
         a = random_operator([3, 3, 3], [3, 3, 3], [2, 2], seed=24)

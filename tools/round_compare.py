@@ -9,7 +9,10 @@ Each workload of ``benchmarks/workloads.py`` is set up and solved once at the
 given seed with this checkout's package.  Every ``tt_round`` call of the
 solve is also made with OTHER's ``src/ttkrylov/tt.py`` on the same input;
 each side is timed, alternating which goes first, and the solve goes on with
-this checkout's result.  Per workload it prints:
+this checkout's result.  Keyword arguments of a call, such as ``pivoted``,
+go to this checkout's ``tt_round`` and to OTHER's only where its signature
+takes them, so a new truncation is compared call by call with the one that
+OTHER makes in its place.  Per workload it prints:
 
 * ``calls``, ``rank_diff`` and ``equal``: the number of calls, of calls
   whose output rank profiles differ, and of calls whose outputs are bitwise
@@ -37,6 +40,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import importlib.util  # noqa: E402
+import inspect  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -63,21 +67,23 @@ def load_other(root: Path):
 
 def compare(w, seed, other_round):
     this_round = tt.tt_round
+    other_takes = inspect.signature(other_round).parameters
     stats = {"calls": 0, "rank_diff": 0, "equal": 0, "max_diff_eps": 0.0, "floor_eps": 0.0,
              "max_diff_chain": 0.0, "this_s": 0.0, "other_s": 0.0, "rank_in": 0, "rank_sweep": 0}
 
-    def timed(fn, v, spec):
+    def timed(fn, v, spec, kwargs):
         t0 = time.perf_counter()
-        out = fn(v, spec)
+        out = fn(v, spec, **kwargs)
         return out, time.perf_counter() - t0
 
-    def both(v, spec):
+    def both(v, spec, **kwargs):
+        other_kwargs = {k: x for k, x in kwargs.items() if k in other_takes}
         if stats["calls"] % 2:
-            ref, t_ref = timed(other_round, v, spec)
-            got, t_got = timed(this_round, v, spec)
+            ref, t_ref = timed(other_round, v, spec, other_kwargs)
+            got, t_got = timed(this_round, v, spec, kwargs)
         else:
-            got, t_got = timed(this_round, v, spec)
-            ref, t_ref = timed(other_round, v, spec)
+            got, t_got = timed(this_round, v, spec, kwargs)
+            ref, t_ref = timed(other_round, v, spec, other_kwargs)
         stats["calls"] += 1
         stats["this_s"] += t_got
         stats["other_s"] += t_ref
