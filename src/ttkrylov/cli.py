@@ -234,8 +234,9 @@ def run_variant(name, cp, overrides, problem=None):
     """Run one solver variant from x0 = 0; returns (report, wall seconds).
 
     For the solve seed s the Khatri-Rao sketch is drawn with seed s, the
-    solvers draw the recovery frame with seed s+1 and the preconditioner's
-    frames come from seed s+7.  The wall time includes the preconditioner
+    solvers draw the recovery frame with seed s+1 (``tt_gmres`` its
+    Gram-Schmidt frames with seed s) and the preconditioner's frames come
+    from seed s+7.  The wall time includes the preconditioner
     set-up.
     """
     solver = SOLVERS.get(name)

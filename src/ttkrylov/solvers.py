@@ -21,31 +21,36 @@ Each iteration expands the newest basis vector v_k: the preconditioned
 variant applies z_k = P^{-1} v_k (otherwise z_k = v_k), the assembly keeps
 z_k, and A z_k passes through three parts:
 
-* orthogonalize and round: modified Gram-Schmidt against a window of basis
-  vectors.  ``tt_gmres`` orthogonalizes against the whole basis and rounds
-  A v and every step at the relaxed tolerance eta_k * tol, truncating each
-  bond by column-pivoted QR (``tt_round(..., pivoted=True)``), which keeps
-  the SVD's error bound at well under half its cost.  The sketched
-  variants orthogonalize against the last ell vectors and round once, at
-  eta * tol, after the last step.  Each step subtracts its vector with
-  ``tt_add``, which adds the vector's ranks to w's, except the last step
-  of an explicit window without a preconditioner: there the newest window
-  vector is z itself, and h z is subtracted inside A z.  That takes a
-  block E with A + sigma I = (A's cores 0..d-2, last core + sigma E),
-  found once per solve by ``tt_op_shift_core``; it exists when the
-  identity on modes 0..d-2 is a combination of what A's op-rank channels
-  carry into the last core, as for a Kronecker sum (its passthrough
-  channel) and the op-rounded Markov operator.  The rows of w's last core
-  that hold A z's then become the last core of (A - h I) z, and the
-  rounding's input keeps A z's ranks rho r instead of (rho + 1) r; A z,
-  its sketch and every h are those ``tt_add`` gives.  Without E the last
-  step takes ``tt_add`` too.  With ``combine_mode="stta"`` they
-  combine the sketch pairs of A z and of the window vectors instead and
-  recover the result once (its sketch of A z counts as rounding); each
-  window entry carries its vector's sketch pair, the assembly's own pair
-  when z_k is v_k, and drops it with the vector.  The frame's recovery
-  ranks then cap every basis vector; the report warns, once, when a vector
-  reaches the cap at a mode where it is below the full rank.
+* orthogonalize and round.  ``tt_gmres`` orthogonalizes against the whole
+  basis by classical Gram-Schmidt: it rounds A z at the relaxed tolerance
+  eta_k * tol, truncating each bond by column-pivoted QR (``tt_round(...,
+  pivoted=True)``, the SVD's error bound at well under half its cost),
+  takes every h_i = <w, v_i> from that w, and forms w - sum_i h_i v_i by
+  one streamed rounding at the same tolerance (``GrowingFrame``, seeded by
+  ``cfg.seed``): each term is sketched in turn, the pairs are added into
+  one and recovered once, and no pair is kept between iterations.  The
+  frame grows when a sum has no room in it, so only ``max_rank`` caps a
+  basis vector.  The sketched variants run modified Gram-Schmidt against
+  the last ell vectors and round once, at eta * tol, after the last step.
+  Each step subtracts its vector with ``tt_add``, which adds the vector's
+  ranks to w's, except the last step of an explicit window without a
+  preconditioner: there the newest window vector is z itself, and h z is
+  subtracted inside A z.  That takes a block E with A + sigma I = (A's
+  cores 0..d-2, last core + sigma E), found once per solve by
+  ``tt_op_shift_core``; it exists when the identity on modes 0..d-2 is a
+  combination of what A's op-rank channels carry into the last core, as
+  for a Kronecker sum (its passthrough channel) and the op-rounded Markov
+  operator.  The rows of w's last core that hold A z's then become the
+  last core of (A - h I) z, and the rounding's input keeps A z's ranks
+  rho r instead of (rho + 1) r; A z, its sketch and every h are those
+  ``tt_add`` gives.  Without E the last step takes ``tt_add`` too.  With
+  ``combine_mode="stta"`` they combine the sketch pairs of A z and of the
+  window vectors instead and recover the result once (its sketch of A z
+  counts as rounding); each window entry carries its vector's sketch
+  pair, the assembly's own pair when z_k is v_k, and drops it with the
+  vector.  The frame's recovery ranks then cap every basis vector; the
+  report warns, once, when a vector reaches the cap at a mode where it is
+  below the full rank.
 * least squares: one problem, min_y ||M y - rhs||, solved by SVD
   (``sketched_lsq``) in ``_LeastSquares``.  ``tt_gmres`` fits the Hessenberg
   matrix H to beta e_1, the coordinates of A V in the orthonormal basis; the
@@ -87,9 +92,9 @@ import numpy as np
 from .precond import ExpSumPreconditioner
 from .sketch import KhatriRaoSketch, kr_apply
 from .streaming import (
+    GrowingFrame,
     StreamedSum,
     StreamFrame,
-    combine_pairs,
     stream_recover,
     stream_sketch,
 )
@@ -140,6 +145,9 @@ class SolverConfig:
     # own (default: max(2 * largest rank of b, 20))
     solution_rank: int | None = None
     combine_mode: str = "explicit"  # or "stta"
+    # seeds tt_gmres's Gram-Schmidt frames (GrowingFrame) and, at seed + 1,
+    # the solution frame of a sketched variant given none; ttk also draws
+    # the sketch from it
     seed: int = 0
     track_true_residual: bool = False
     force_iterations: bool = False  # run all maxit iterations (figure runs)
@@ -378,6 +386,7 @@ def _krylov(a, b, x0, cfg: SolverConfig, sketch=None, frame=None, precond=None):
     # with z = v and an explicit, once-rounded window, the newest window
     # vector is z itself and folds into A z (see the module docstring)
     shift = None if relaxed or stta or precond is not None else tt_op_shift_core(a)
+    growing = GrowingFrame(b.dims, cfg.seed) if relaxed else None
 
     for k in range(1, cfg.maxit + 1):
         if k > 1:
@@ -399,20 +408,22 @@ def _krylov(a, b, x0, cfg: SolverConfig, sketch=None, frame=None, precond=None):
             w = timer.timed("round", tt_round, w, spec, pivoted=True)
         t0 = time.perf_counter()
         col = np.zeros(k + 1)
-        for i, v, _ in window:
-            col[i] = tt_dot(w, v)
-            if v is z and shift is not None:
-                w = _subtract_shifted(w, shift, z, col[i])
-            elif not stta:
-                w = tt_add(w, tt_scale(v, -col[i]))
-                if relaxed:
-                    w = tt_round(w, spec, pivoted=True)
+        if relaxed:  # classical Gram-Schmidt, one streamed rounding
+            basis = [v for _, v, _ in window]
+            col[:k] = [tt_dot(w, v) for v in basis]
+            w = growing.round_sum([w, *basis], [1.0, *-col[:k]], spec)
+        else:  # modified Gram-Schmidt
+            for i, v, _ in window:
+                col[i] = tt_dot(w, v)
+                if v is z and shift is not None:
+                    w = _subtract_shifted(w, shift, z, col[i])
+                elif not stta:
+                    w = tt_add(w, tt_scale(v, -col[i]))
         timer.add("orth", t0)
         if stta:  # recover w - sum_i col_i v_i from the sketch pairs
             t0 = time.perf_counter()
-            pair = combine_pairs([stream_sketch(w, frame), *(p for _, _, p in window)],
-                                 [1.0, *(-col[i] for i, _, _ in window)])
-            w = stream_recover(pair, spec)
+            w = stream_recover([stream_sketch(w, frame), *(p for _, _, p in window)],
+                               [1.0, *(-col[i] for i, _, _ in window)], spec)
             timer.add("round", t0)
             # a vector that reaches a recovery rank below the full rank may
             # have been truncated there; warn once per solve
@@ -428,6 +439,7 @@ def _krylov(a, b, x0, cfg: SolverConfig, sketch=None, frame=None, precond=None):
         lucky = hnew <= _BREAKDOWN_FACTOR * _norm(col)
         if not lucky:
             window.append((k, tt_scale(w, 1.0 / hnew), None))
+        del w  # its cores may be views into larger arrays: free them before the next A z
         report.max_resident_basis = max(report.max_resident_basis, len(window))
         if len(window) > window_size:
             window.pop(0)
@@ -460,14 +472,19 @@ def _krylov(a, b, x0, cfg: SolverConfig, sketch=None, frame=None, precond=None):
 
 
 def tt_gmres(a: TTOperator, b: TTVector, x0: TTVector | None, cfg: SolverConfig):
-    """Classic GMRES in TT arithmetic.
+    """Classic GMRES in TT arithmetic, with classical Gram-Schmidt.
 
-    Matvec results and Gram-Schmidt updates are rounded at eta_k * tol
-    with the relaxation eta_k = tol / rel_res_{k-1} (clamped to
-    [1e-14, 1]), by pivoted-QR truncation (Dolgov, Russ. J. Numer. Anal.
-    Math. Modelling 28, 2013, rounds every step; Gu and Eisenstat, SISC 17,
-    1996, for the rank-revealing QR); y_k is the SVD least-squares fit of
-    the Hessenberg matrix to beta e_1; the solution is accumulated by
+    A z is rounded at eta_k * tol with the relaxation eta_k = tol /
+    rel_res_{k-1} (clamped to [1e-14, 1]), by pivoted-QR truncation (Gu and
+    Eisenstat, SISC 17, 1996, for the rank-revealing QR); every Hessenberg
+    coefficient is taken from that rounded w, and w - sum_i h_i v_i is
+    formed by one streamed rounding at the same tolerance, against a frame
+    drawn from ``cfg.seed`` that grows when the sum has no room in it
+    (Kressner, Vandereycken and Voorhaar, arXiv:2208.02600; Al Daas et al.,
+    SISC 2023, arXiv:2110.04393, for randomized rounding in TT-GMRES).
+    Dolgov (Russ. J. Numer. Anal. Math. Modelling 28, 2013) rounds every
+    modified Gram-Schmidt step instead.  y_k is the SVD least-squares fit
+    of the Hessenberg matrix to beta e_1; the solution is accumulated by
     sequential rounded additions, which keep the SVD truncation.
     """
     return _krylov(a, b, x0, cfg)

@@ -7,19 +7,23 @@ sketched term by term, the pairs added, and the sum recovered once, with
 pseudo-inverse core recovery in the style of the generalized Nystrom method
 (Kressner, Vandereycken and Voorhaar, arXiv:2208.02600).
 
-Two of the rounding layer's sums are built on this (``tt.RoundedSum`` is
-the third).  ``StreamedSum`` keeps only the sketch pair of each term
+Three users build on this (``tt.RoundedSum`` is the rounding layer's
+other sum).  ``StreamedSum`` keeps only the sketch pair of each term
 against one fixed frame, as the solvers' solution does.  Each
 Psi_mu = L_{mu-1} C_mu R_{mu+1} of a kept pair is held in whichever form
 has fewer entries: the dense (l n) x r matrix, or its three factors (the
 left contraction, the term's core, the right contraction).  So a term of
 ranks t costs sum_mu min(l n r, l t + t n t' + t' r) entries besides its
 Omegas, and the sum rebuilds each factored Psi with the products of
-``stream_sketch``, bitwise the same matrix.
-``streamed_mode_sum``, the preconditioner's apply, sums mode products of
-one tensor: it streams them through frames of doubling rank, each drawn by
-``StreamFrame.create``, climbing until an a-posteriori check shows the
-frame had room for the sum.
+``stream_sketch``, bitwise the same matrix.  The other two keep no pair:
+they sketch every term when the sum is formed, and ``ladder_recover``
+moves the sum to a larger frame when the recovered tensor leaves no room
+in the one it was sketched against.  ``streamed_mode_sum``, the
+preconditioner's apply, sums mode products of one tensor through fresh
+frames of doubling rank, each drawn by ``StreamFrame.create``.
+``GrowingFrame``, which forms ``tt_gmres``'s Gram-Schmidt sums
+w - sum_i h_i v_i, keeps one frame from sum to sum and grows it by a
+quarter when a sum needs more.
 """
 
 from __future__ import annotations
@@ -55,6 +59,16 @@ SUM_PINV_RCOND = 1e-14
 # missed rel_tol against the sequential sum.
 LADDER_START = 16
 LADDER_OVERSAMPLING = 16
+# GrowingFrame: rung i has recovery rank ceil(GROWTH_START * (5/4)**i),
+# which has room (ladder_recover) for ranks up to 27, 34, 43, 54, ...  The
+# frame stays resident through a solve, and its size counts: cd4-gmres's
+# basis reaches rank 34 and ends on rung 1, rank 45, a frame of ~0.4 MiB,
+# where that workload's peak_rss_mb bound (10 % of ~6.7 MiB) leaves ~0.7
+# MiB; a frame of rank 64 read 0.6-0.9 MiB more peak RSS.  The left ranks
+# exceed the recovery ranks by GROWTH_OVERSAMPLING, but by one only at a
+# mode whose rank is full: more left rows add nothing there.
+GROWTH_START = 36
+GROWTH_OVERSAMPLING = 10
 
 
 class DegenerateRecovery(ValueError):
@@ -205,16 +219,6 @@ def stream_sketch(t: TTVector, frame: StreamFrame) -> SketchPair:
         raise ShapeMismatch(f"tensor dims {t.dims} do not match frame {frame.dims}")
     d = t.d
     ycores, xcores = frame.left.cores, frame.right.cores
-    # left contractions L[mu]: (l_mu, t_mu), mu = 0..d-1; L[0] = 1, and
-    # the products L[mu] C_mu as (l_mu n_mu, t_{mu+1}) matrices, which
-    # both the next L and Psi_mu take
-    lmats = [np.ones((1, 1))]
-    lc = []
-    for k in range(d):
-        lc.append(_left_product(lmats[k], t.cores[k]))
-        if k < d - 1:
-            y = ycores[k]
-            lmats.append(y.reshape(-1, y.shape[2]).T @ lc[k])
     # right contractions R[mu]: (t_mu, r_mu), mu = 1..d; R[d] = 1
     rmats = [None] * (d + 1)
     rmats[d] = np.ones((1, 1))
@@ -222,7 +226,16 @@ def stream_sketch(t: TTVector, frame: StreamFrame) -> SketchPair:
         c, x = t.cores[k], xcores[k]
         cr = (c.reshape(-1, c.shape[2]) @ rmats[k + 1]).reshape(c.shape[0], -1)
         rmats[k] = cr @ x.reshape(x.shape[0], -1).T
-    psi = [lc[mu] @ rmats[mu + 1] for mu in range(d)]
+    # left contractions L[mu]: (l_mu, t_mu), mu = 0..d-1; L[0] = 1.  The
+    # product L[mu] C_mu, an (l_mu n_mu, t_{mu+1}) matrix, gives both Psi_mu
+    # and the next L, and is dropped before the next one is formed
+    lmats, psi = [np.ones((1, 1))], []
+    for k in range(d):
+        lc = _left_product(lmats[k], t.cores[k])
+        psi.append(lc @ rmats[k + 1])
+        if k < d - 1:
+            y = ycores[k]
+            lmats.append(y.reshape(-1, y.shape[2]).T @ lc)
     omega = [lmats[mu] @ rmats[mu] for mu in range(1, d)]
     factors = [(lmats[mu], t.cores[mu], rmats[mu + 1]) for mu in range(d)]
     return SketchPair(psi, omega, t.dims, factors)
@@ -232,41 +245,49 @@ def combine_pairs(pairs, coeffs) -> SketchPair:
     """Entrywise weighted sum of sketch pairs from one frame, with every psi
     dense.  ``pairs`` may be any iterable: a generator keeps one pair alive
     at a time, and a factored psi is formed one mode at a time."""
-    acc = None
-    for p, c in zip(pairs, coeffs, strict=True):
+    # not zip, which would hold the last pair while the next one is formed
+    end, coeffs, acc = object(), iter(coeffs), None
+    for p in pairs:
+        c = next(coeffs, end)
+        if c is end:
+            raise ValueError("more pairs than coefficients")
         if acc is None:
             acc = SketchPair([p.psi_matrix(k) * c for k in range(len(p.psi))],
                              [m * c for m in p.omega], p.dims)
-            continue
-        # the Omegas' shapes are the frame's ranks, which with the dims fix
-        # every Psi's shape
-        if p.dims != acc.dims or [m.shape for m in p.omega] != [m.shape for m in acc.omega]:
-            raise ShapeMismatch("pairs come from different frames")
-        for k in range(len(p.psi)):
-            acc.psi[k] += c * p.psi_matrix(k)
-        for k, m in enumerate(p.omega):
-            acc.omega[k] += c * m
+        else:
+            # the Omegas' shapes are the frame's ranks, which with the dims
+            # fix every Psi's shape
+            if p.dims != acc.dims or [m.shape for m in p.omega] != [m.shape for m in acc.omega]:
+                raise ShapeMismatch("pairs come from different frames")
+            for k in range(len(p.psi)):
+                acc.psi[k] += c * p.psi_matrix(k)
+            for k, m in enumerate(p.omega):
+                acc.omega[k] += c * m
+        del p
+    if next(coeffs, end) is not end:
+        raise ValueError("more coefficients than pairs")
     if acc is None:
         raise ValueError("need at least one pair")
     return acc
 
 
-def stream_recover(pair: SketchPair, spec: RoundSpec = RoundSpec(),
+def stream_recover(pairs, coeffs, spec: RoundSpec = RoundSpec(),
                    rcond: float = PINV_RCOND) -> TTVector:
-    """Reconstruct a TT vector from accumulated sketches.
+    """Reconstruct sum_i c_i t_i from the terms' sketch pairs.
 
-    The cores carry the truncated-SVD pseudo-inverses of the cross
-    matrices (relative cutoff ``rcond``), with each inverse split
-    symmetrically between the two neighbouring cores: for
-    Omega_mu = U S V^T the left factor V S^{-1/2} closes core mu and
-    S^{-1/2} U^T opens core mu+1.  The split keeps the recovered core
-    chain norm-balanced, so evaluation does not amplify roundoff the way
-    a one-sided pseudo-inverse chain does.  The result is rounded per
-    spec so rel_tol/max_rank are honored.
+    The pairs are added into one by ``combine_pairs``, in place, so a
+    generator of pairs keeps one term's pair alive at a time.  The cores
+    then carry the truncated-SVD pseudo-inverses of the cross matrices
+    (relative cutoff ``rcond``), with each inverse split symmetrically
+    between the two neighbouring cores: for Omega_mu = U S V^T the left
+    factor V S^{-1/2} closes core mu and S^{-1/2} U^T opens core mu+1.  The
+    split keeps the recovered core chain norm-balanced, so evaluation does
+    not amplify roundoff the way a one-sided pseudo-inverse chain does.  The
+    result is rounded per spec so rel_tol/max_rank are honored.
     """
+    pair = combine_pairs(pairs, coeffs)
     d = len(pair.psi)
-    psis = [pair.psi_matrix(mu) for mu in range(d)]
-    if all(np.all(p == 0) for p in psis):
+    if all(np.all(p == 0) for p in pair.psi):
         return tt_zero(pair.dims)
     # truncated SVDs of the cross matrices
     left_half = []  # S^{-1/2} U^T, applied to the l index of psi_{mu+1}
@@ -281,7 +302,7 @@ def stream_recover(pair: SketchPair, spec: RoundSpec = RoundSpec(),
         left_half.append(inv_sqrt[:, None] * u.T)
         right_half.append(vt.T * inv_sqrt[None, :])
     cores = []
-    for mu, psi in enumerate(psis):
+    for mu, psi in enumerate(pair.psi):
         n = pair.dims[mu]
         r_next = psi.shape[1]
         lm = psi.shape[0] // n
@@ -321,46 +342,108 @@ class StreamedSum:
         return sum(p.nbytes for p in self._pairs)
 
     def combine(self, coeffs) -> TTVector:
-        u = stream_recover(combine_pairs(self._pairs[: len(coeffs)], coeffs), self.spec)
+        u = stream_recover(self._pairs[: len(coeffs)], coeffs, self.spec)
         return u if self.start is None else tt_round(tt_add(self.start, u), self.spec)
+
+
+def ladder_recover(sketches, coeffs, frame_at, bound, spec: RoundSpec, rcond: float,
+                   rung: int = 0) -> TTVector:
+    """sum_i c_i t_i by one streamed rounding against the first frame of a
+    ladder that has room for it.
+
+    ``frame_at(i)`` gives the frame of rung i, ``sketches(frame)`` the
+    terms' pairs against it (a generator keeps one alive at a time), and
+    ``bound`` the sum's rank bound per mode.  From rung ``rung`` on, each
+    frame is tried in turn: the pairs are added into one and recovered once
+    (``stream_recover``, cutoff ``rcond``), rounded at ``spec.rel_tol``.  The
+    recovery is accepted when, at every mode, the rank to be kept (the
+    recovered rank, or ``spec.max_rank`` if smaller) leaves at least
+    max(4, r/4) of the frame's recovery rank r unused, or r already reaches
+    the bound, where recovery is exact.  Only then is the result cut to
+    ``spec.max_rank``: the cap never makes the frame grow, and the frame's
+    ranks above it oversample the cut.
+    """
+    while True:
+        frame = frame_at(rung)
+        u = stream_recover(sketches(frame), coeffs, RoundSpec(spec.rel_tol), rcond)
+        kept = [k if spec.max_rank is None else min(k, spec.max_rank) for k in u.ranks[1:-1]]
+        room = zip(kept, frame.right.ranks[1:-1], bound)
+        if all(r >= b or k <= r - max(4, r // 4) for k, r, b in room):
+            return u if spec.max_rank is None else tt_round(u, spec)
+        del frame, u
+        rung += 1
 
 
 def streamed_mode_sum(v: TTVector, matrices, coeffs, seed, spec: RoundSpec) -> TTVector:
     """sum_i c_i M_i v for the mode products M_i v = ``mode_multiply(v,
-    matrices[i])``, by one streamed rounding whose frame grows until it has
-    room for the sum.
+    matrices[i])``, by one streamed rounding on a ladder of frames
+    (``ladder_recover``, cutoff SUM_PINV_RCOND).
 
     Mode products keep v's ranks, so the sum's rank bound b is, per mode,
-    min(full rank, len(matrices) * rank of v).  Frames i = 0, 1, ... are
-    tried in turn: frame i is ``StreamFrame.create`` with recovery rank
-    LADDER_START * 2**i, oversampling LADDER_OVERSAMPLING and seed
-    [seed, i], cut to b by ``leading``.  So each frame is a fresh draw that
-    depends only on the dimensions, the seed, i and, from frame 1 on, the
-    bound: a mode's core is drawn at min(LADDER_START * 2**i,
-    max(b, LADDER_START)), not larger than the cut keeps, while frame 0 is
-    always drawn at LADDER_START.  Against each frame every product is
-    formed and sketched in turn, so that no more than one is held at a
-    time, c_i times its pair is added into one running pair, and that is
-    recovered once (pseudo-inverse cutoff SUM_PINV_RCOND), rounded at
-    ``spec.rel_tol``.  The recovery is accepted when, at every mode, the
-    recovered rank leaves at least max(4, r/4) of the frame's recovery rank
-    r unused, or the frame already reaches the rank bound, where recovery
-    is exact.  Only then is the result cut to ``spec.max_rank``, so that
-    the cap never makes the frame grow.  ``seed`` must be a nonnegative
-    integer.
+    min(full rank, len(matrices) * rank of v).  Frame i is
+    ``StreamFrame.create`` with recovery rank LADDER_START * 2**i,
+    oversampling LADDER_OVERSAMPLING and seed [seed, i], cut to b by
+    ``leading``.  So each frame is a fresh draw that depends only on the
+    dimensions, the seed, i and, from frame 1 on, the bound: a mode's core is
+    drawn at min(LADDER_START * 2**i, max(b, LADDER_START)), not larger than
+    the cut keeps, while frame 0 is always drawn at LADDER_START.  Against
+    each frame every product is formed and sketched in turn, so that no more
+    than one is held at a time.  ``seed`` must be a nonnegative integer.
     """
     check_count(seed, "seed", 0)
     bound = [min(f, len(matrices) * r)
              for f, r in zip(attainable_ranks(v.dims), v.ranks[1:-1])]
-    rung = 0
-    while True:
+
+    def frame_at(rung):
         ranks = [min(LADDER_START << rung, max(b, LADDER_START)) for b in bound]
-        frame = StreamFrame.create(v.dims, ranks, LADDER_OVERSAMPLING,
-                                   seed=[seed, rung]).leading(bound)
-        pair = combine_pairs((stream_sketch(mode_multiply(v, m), frame) for m in matrices),
-                             coeffs)
-        u = stream_recover(pair, RoundSpec(spec.rel_tol), SUM_PINV_RCOND)
-        room = zip(u.ranks[1:-1], frame.right.ranks[1:-1], bound)
-        if all(r >= b or k <= r - max(4, r // 4) for k, r, b in room):
-            return u if spec.max_rank is None else tt_round(u, spec)
-        rung += 1
+        return StreamFrame.create(v.dims, ranks, LADDER_OVERSAMPLING,
+                                  seed=[seed, rung]).leading(bound)
+
+    def sketches(frame):
+        return (stream_sketch(mode_multiply(v, m), frame) for m in matrices)
+
+    return ladder_recover(sketches, coeffs, frame_at, bound, spec, SUM_PINV_RCOND)
+
+
+class GrowingFrame:
+    """The frame of a sequence of streamed roundings, such as ``tt_gmres``'s
+    Gram-Schmidt sums: drawn once, and grown, never shrunk, on
+    ``ladder_recover``'s rule when a sum has no room in it.
+
+    Rung i has recovery rank ceil(GROWTH_START * (5/4)**i) at every mode,
+    clipped to what the mode attains, left ranks GROWTH_OVERSAMPLING above
+    that but at most one above the full rank, and seed [seed, i].
+    ``round_sum(terms, coeffs, spec)`` sketches each term against the frame
+    in turn and recovers sum_i c_i t_i once, starting at the rung the last
+    sum ended on.  No pair is kept between sums.
+    """
+
+    def __init__(self, dims, seed):
+        self.dims, self.seed = tuple(dims), seed
+        self.rung, self.frame = 0, self._draw(0)
+
+    def _draw(self, rung) -> StreamFrame:
+        rank = -(-GROWTH_START * 5**rung // 4**rung)
+        full = attainable_ranks(self.dims)
+        right = [min(rank, f) for f in full]
+        left = [min(r + GROWTH_OVERSAMPLING, f + 1) for r, f in zip(right, full)]
+        s_right, s_left = check_seed([self.seed, rung]).spawn(2)
+        return StreamFrame(tt_drm_new(self.dims, right, seed=s_right),
+                           tt_drm_new(self.dims, left, seed=s_left))
+
+    def _frame_at(self, rung) -> StreamFrame:
+        if rung != self.rung:  # the old frame goes before the new is drawn
+            self.rung, self.frame = rung, None
+            self.frame = self._draw(rung)
+        return self.frame
+
+    def round_sum(self, terms, coeffs, spec: RoundSpec) -> TTVector:
+        # the sum's ranks are at most the terms' summed ranks
+        bound = [min(f, sum(t.ranks[m] for t in terms))
+                 for m, f in enumerate(attainable_ranks(self.dims), 1)]
+
+        def sketches(frame):
+            return (stream_sketch(t, frame) for t in terms)
+
+        return ladder_recover(sketches, coeffs, self._frame_at, bound, spec, PINV_RCOND,
+                              self.rung)

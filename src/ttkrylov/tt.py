@@ -530,12 +530,13 @@ def tt_round(v: TTVector, spec: RoundSpec, pivoted: bool = False) -> TTVector:
     ||R[r:, :]||_F, and r is the smallest rank whose trailing rows of R
     fit the same budget.  That keeps the error bound below, and the cut
     takes 0.35-0.43 of the SVD's time at cd4-gmres's sizes (B_k of 256 to
-    512 rows and 16 to 32 columns, one BLAS thread).  The first rank is never below the SVD's and
-    can exceed it; later bonds see another carry, so their ranks can also
-    come out lower.  Over the 819 relaxed roundings of a cd4-gmres solve
-    the interior ranks summed 45,003 against the SVD's 44,999.  A bond
-    where max_rank binds is truncated by the SVD in either case, so each
-    capped bond keeps the best rank-max_rank approximation of its B_k.
+    512 rows and 16 to 32 columns, one BLAS thread).  The first rank is
+    never below the SVD's and can exceed it; later bonds see another carry,
+    so their ranks can also come out lower.  Over the 39 relaxed roundings
+    of A z in a cd4-gmres solve (``tt_gmres``) the interior ranks summed
+    1,801, as the SVD's do.  A bond where max_rank binds is truncated by
+    the SVD in either case, so each capped bond keeps the best
+    rank-max_rank approximation of its B_k.
 
     Each truncation discards at most rel_tol*||v||/sqrt(d-1) in Frobenius
     norm, so the total relative error stays below rel_tol; a max_rank cap

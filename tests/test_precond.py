@@ -20,7 +20,6 @@ from ttkrylov.streaming import (
     LADDER_START,
     SUM_PINV_RCOND,
     StreamFrame,
-    combine_pairs,
     stream_recover,
     stream_sketch,
 )
@@ -532,7 +531,7 @@ class TestStreamedApply:
         frame = StreamFrame.create(p.dims, [LADDER_START] * 3, LADDER_OVERSAMPLING,
                                    seed=[7, 0]).leading(bound)
         pairs = [stream_sketch(mode_multiply(v, e), frame) for e in p.exps]
-        want = stream_recover(combine_pairs(pairs, p.alpha), RoundSpec(3e-7), SUM_PINV_RCOND)
+        want = stream_recover(pairs, p.alpha, RoundSpec(3e-7), SUM_PINV_RCOND)
         assert max(want.ranks) <= LADDER_START - 4  # room left: no climb
         assert same_cores(p.apply_inverse(v), want)
 

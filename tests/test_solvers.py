@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttkrylov import solvers
+from ttkrylov import solvers, streaming
 from ttkrylov.precond import ExpSumPreconditioner
 from ttkrylov.problems import (
     ConvectionDiffusionSpec,
@@ -130,9 +130,9 @@ class TestTTGMRES:
         assert rel_gap(x, solve_dense(op, rhs)) <= 1e-8
 
     def test_relaxed_rounding_history(self):
-        # the trace digest's CD run: tt_gmres rounds A z and every
-        # Gram-Schmidt step by pivoted QR, and its iterations and basis
-        # ranks are those of SVD truncation
+        # the trace digest's CD run: tt_gmres rounds A z by pivoted QR and
+        # each Gram-Schmidt sum by one streamed rounding, and its iterations
+        # and basis ranks are those of SVD-rounded modified Gram-Schmidt
         op, rhs = convection_diffusion(ConvectionDiffusionSpec(d=3, n=5))
         cfg = SolverConfig(maxit=30, tol=1e-8, seed=0, solution_rank=12,
                            track_true_residual=True)
@@ -143,19 +143,26 @@ class TestTTGMRES:
 
     @pytest.mark.parametrize("name", ["gmres", "vanilla", "sgmres", "spgmres"])
     def test_only_relaxed_steps_round_pivoted(self, name, monkeypatch):
-        # tt_gmres: A z and each of the 1 + ... + k steps of iteration k;
-        # the assembly's roundings and every other variant's keep the SVD
-        calls = []
+        # tt_gmres: one pivoted rounding (A z) and one streamed recovery
+        # (w - sum_i h_i v_i) per iteration; the assembly's roundings and
+        # every other variant's keep the SVD
+        calls, recoveries = [], []
 
         def recording(v, spec, **kwargs):
             calls.append(kwargs.get("pivoted", False))
             return tt_round(v, spec, **kwargs)
 
+        recover = streaming.stream_recover
         monkeypatch.setattr(solvers, "tt_round", recording)
+        monkeypatch.setattr(streaming, "stream_recover",
+                            lambda *args: recoveries.append(args) or recover(*args))
         op, rhs = convection_diffusion(ConvectionDiffusionSpec(d=3, n=4))
         _, rep = run_variant(name, op, rhs, None, SolverConfig(maxit=6, tol=1e-12, seed=0))
         k = rep.iterations
-        assert sum(calls) == (k + k * (k + 1) // 2 if name == "gmres" else 0)
+        if name == "gmres":
+            assert calls == [True] * k and len(recoveries) == k
+        else:
+            assert sum(calls) == 0
 
     def test_nonzero_initial_guess(self):
         op, rhs = convection_diffusion(ConvectionDiffusionSpec(d=3, n=4))
@@ -197,6 +204,57 @@ class TestGMRESOracle:
         want = dense_gmres_residuals(*dense_reference(op, rhs), cfg.maxit)
         assert rep.iterations == cfg.maxit
         np.testing.assert_allclose(rep.res_sketched, want, rtol=1e-8)
+
+
+class TestStreamedGramSchmidt:
+    """tt_gmres takes every Hessenberg coefficient from the rounded A z
+    (classical Gram-Schmidt) and forms w - sum_i h_i v_i by one streamed
+    rounding against a frame drawn from cfg.seed (``GrowingFrame``)."""
+
+    @staticmethod
+    def draws(monkeypatch):
+        """The rungs of the frames the solve draws, in order."""
+        rungs, draw = [], streaming.GrowingFrame._draw
+        monkeypatch.setattr(streaming.GrowingFrame, "_draw",
+                            lambda self, rung: rungs.append(rung) or draw(self, rung))
+        return rungs
+
+    def test_repeatable_at_one_seed_same_iterations_at_another(self):
+        # full ranks 8, 64, 8: the frame's rank 36 is below the middle one
+        op, rhs = convection_diffusion(ConvectionDiffusionSpec(d=4, n=8))
+        cfg = SolverConfig(maxit=40, tol=1e-8, seed=3)
+        (x1, r1), (x2, r2) = (tt_gmres(op, rhs, None, cfg) for _ in range(2))
+        assert all(np.array_equal(a, b) for a, b in zip(x1.cores, x2.cores))
+        assert r1.res_sketched == r2.res_sketched and r1.basis_rank == r2.basis_rank
+        x3, r3 = tt_gmres(op, rhs, None, replace(cfg, seed=4))
+        assert r3.res_sketched != r1.res_sketched  # the seed reaches the frame
+        assert r1.converged and r3.converged and r3.iterations == r1.iterations
+        assert rel_gap(x3, tt_to_dense(x1).ravel()) <= 1e-7
+
+    def test_frame_grows_past_its_first_rung_and_matches_dense_gmres(self, monkeypatch):
+        # a first frame of rank 4 has room for rank 0 only (4 - max(4, 1));
+        # the middle rank (full: 16) climbs it to rung 6 (ceil(4 * 1.25**6)
+        # = 16); tol as in TestGMRESOracle, so no rounding truncates
+        monkeypatch.setattr(streaming, "GROWTH_START", 4)
+        rungs = self.draws(monkeypatch)
+        op, rhs = convection_diffusion(ConvectionDiffusionSpec(d=4, n=4))
+        cfg = SolverConfig(maxit=14, tol=1e-13, seed=0)
+        _, rep = tt_gmres(op, rhs, None, cfg)
+        want = dense_gmres_residuals(*dense_reference(op, rhs), cfg.maxit)
+        assert rungs[0] == 0 and rungs == sorted(rungs) and rungs[-1] >= 3
+        assert rep.peak_rank > 4 and rep.iterations == cfg.maxit
+        np.testing.assert_allclose(rep.res_sketched, want, rtol=1e-8)
+
+    def test_max_rank_caps_the_basis(self, monkeypatch):
+        op, rhs = convection_diffusion(ConvectionDiffusionSpec(d=4, n=8))
+        cfg = SolverConfig(maxit=20, tol=1e-10, seed=0, force_iterations=True)
+        _, free = tt_gmres(op, rhs, None, cfg)
+        rungs = self.draws(monkeypatch)
+        _, capped = tt_gmres(op, rhs, None, replace(cfg, max_rank=6))
+        assert free.peak_rank > 6 and capped.peak_rank == 6
+        # sums of capped vectors are not low-rank, but the first frame has
+        # room for the rank that the cap keeps, so it does not grow
+        assert rungs == [0]
 
 
 def _small_problem(seed=0):

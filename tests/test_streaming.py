@@ -11,6 +11,7 @@ from ttkrylov.streaming import (
     LADDER_OVERSAMPLING,
     LADDER_START,
     DegenerateRecovery,
+    GrowingFrame,
     SketchPair,
     StreamedSum,
     StreamFrame,
@@ -25,8 +26,10 @@ from ttkrylov.tt import (
     ShapeMismatch,
     mode_multiply,
     tt_add,
+    tt_from_dense,
     tt_norm,
     tt_random,
+    tt_round,
     tt_scale,
     tt_to_dense,
     tt_zero,
@@ -223,7 +226,7 @@ class TestRecover:
         dims = [4, 5, 4]
         frame = StreamFrame.create(dims, [3, 3], oversampling=6, seed=20)
         v = tt_random(dims, [2, 3], seed=21)
-        w = stream_recover(stream_sketch(v, frame), RoundSpec(0.0))
+        w = stream_recover([stream_sketch(v, frame)], [1.0], RoundSpec(0.0))
         assert rel_err(tt_to_dense(w), tt_to_dense(v)) <= 1e-10
 
     def test_combined_recovery(self):
@@ -232,8 +235,7 @@ class TestRecover:
         frame = StreamFrame.create(dims, [4, 10, 4], oversampling=8, seed=22)
         vs = [tt_random(dims, [2, 2, 2], seed=200 + i) for i in range(5)]
         ys = np.array([0.3, -1.1, 2.0, 0.7, -0.4])
-        comb = combine_pairs([stream_sketch(v, frame) for v in vs], ys)
-        got = stream_recover(comb, RoundSpec(1e-12))
+        got = stream_recover([stream_sketch(v, frame) for v in vs], ys, RoundSpec(1e-12))
         want = np.zeros(dims)
         for y, v in zip(ys, vs):
             want += y * tt_to_dense(v)
@@ -242,7 +244,7 @@ class TestRecover:
     def test_zero_pair(self):
         frame = StreamFrame.create([3, 3], [2], oversampling=2, seed=23)
         pair = stream_sketch(tt_zero([3, 3]), frame)
-        out = stream_recover(pair, RoundSpec(0.0))
+        out = stream_recover([pair], [1.0], RoundSpec(0.0))
         assert tt_norm(out) == 0.0
 
     def test_degenerate_raises(self):
@@ -250,13 +252,13 @@ class TestRecover:
         pair = stream_sketch(tt_random([3, 3], [2], seed=25), frame)
         pair.omega[0][:] = 0.0
         with pytest.raises(DegenerateRecovery):
-            stream_recover(pair, RoundSpec(0.0))
+            stream_recover([pair], [1.0], RoundSpec(0.0))
 
     def test_round_spec_applied(self):
         dims = [5, 5, 5]
         frame = StreamFrame.create(dims, [4, 4], oversampling=5, seed=26)
         v = tt_random(dims, [4, 4], seed=27)
-        w = stream_recover(stream_sketch(v, frame), RoundSpec(0.0, max_rank=2))
+        w = stream_recover([stream_sketch(v, frame)], [1.0], RoundSpec(0.0, max_rank=2))
         assert all(r <= 2 for r in w.ranks)
 
     def test_streamability(self):
@@ -264,12 +266,11 @@ class TestRecover:
         dims = [4, 4, 4]
         frame = StreamFrame.create(dims, [6, 6], oversampling=6, seed=28)
         vs = [tt_random(dims, [2, 2], seed=300 + i) for i in range(4)]
-        acc_pair = combine_pairs([stream_sketch(v, frame) for v in vs], [1.0] * 4)
         acc_tensor = vs[0]
         for v in vs[1:]:
             acc_tensor = tt_add(acc_tensor, v)
-        a = stream_recover(acc_pair, RoundSpec(0.0))
-        b = stream_recover(stream_sketch(acc_tensor, frame), RoundSpec(0.0))
+        a = stream_recover([stream_sketch(v, frame) for v in vs], [1.0] * 4, RoundSpec(0.0))
+        b = stream_recover([stream_sketch(acc_tensor, frame)], [1.0], RoundSpec(0.0))
         assert rel_err(tt_to_dense(a), tt_to_dense(b)) <= 1e-10
 
 
@@ -282,7 +283,7 @@ class TestExactRecoveryProperty:
                 dims = [4, 4, 4]
                 frame = StreamFrame.create(dims, [4, 4], oversampling=6, seed=seed0 + t)
                 v = tt_random(dims, [3, 3], seed=seed0 + 1000 + t)
-                w = stream_recover(stream_sketch(v, frame), RoundSpec(0.0))
+                w = stream_recover([stream_sketch(v, frame)], [1.0], RoundSpec(0.0))
                 if rel_err(tt_to_dense(w), tt_to_dense(v)) > 1e-10:
                     fails += 1
             return fails
@@ -322,7 +323,7 @@ class TestRecoveryProperties:
         dims, (ranks, *_), _, seed = case
         v = tt_random(dims, ranks, seed=seed)
         frame = StreamFrame.create(dims, v.ranks[1:-1], oversampling=oversampling, seed=seed + 1)
-        w = stream_recover(stream_sketch(v, frame), RoundSpec(rel_tol))
+        w = stream_recover([stream_sketch(v, frame)], [1.0], RoundSpec(rel_tol))
         want = tt_to_dense(v)
         err = np.linalg.norm(tt_to_dense(w) - want)
         assert err <= (rel_tol + _RECOVERY_SLACK) * np.linalg.norm(want)
@@ -397,7 +398,7 @@ class TestKeptPairs:
         got = combine_pairs(kept, coeffs)
         for a, b in zip(got.psi + got.omega, want.psi + want.omega):
             assert np.array_equal(a, b)
-        x, y = acc.combine(coeffs), stream_recover(want, RoundSpec(1e-8))
+        x, y = acc.combine(coeffs), stream_recover(dense, coeffs, RoundSpec(1e-8))
         assert all(np.array_equal(a, b) for a, b in zip(x.cores, y.cores))
         assert acc.nbytes == sum(p.nbytes for p in kept)
         assert acc.nbytes < sum(a.nbytes for p in dense for a in p.psi + p.omega)
@@ -580,3 +581,45 @@ class TestAdaptiveStreamedSum:
         got = streamed_mode_sum(v, random_matrices([3, 3, 3], 2, seed=2), [0.0, 0.0], 0,
                                 RoundSpec(1e-8))
         assert np.all(tt_to_dense(got) == 0)
+
+
+class TestGrowingFrame:
+    def test_climbs_until_the_sum_has_room_and_stays(self, monkeypatch):
+        # the middle rank of the sum is its bound 5 + 5 + 5 = 15; rungs
+        # ceil(4 * 1.25**i) are 4, 5, 7, 8, 10, 13, 16, and 16 reaches it
+        monkeypatch.setattr(streaming, "GROWTH_START", 4)
+        dims = [6, 6, 6, 6]
+        terms = [tt_random(dims, [3, 5, 3], seed=70 + i) for i in range(3)]
+        coeffs = [1.0, -0.5, 2.0]
+        frames = GrowingFrame(dims, seed=0)
+        got = frames.round_sum(terms, coeffs, RoundSpec(1e-12))
+        want = sum(c * tt_to_dense(t) for c, t in zip(coeffs, terms))
+        assert rel_err(tt_to_dense(got), want) <= 1e-8
+        assert list(got.ranks) == [1, 6, 15, 6, 1]
+        assert frames.rung == 6 and list(frames.frame.right.ranks) == [1, 6, 16, 6, 1]
+        # at a full-rank mode the left rank exceeds the recovery rank by one
+        assert list(frames.frame.left.ranks) == [1, 7, 26, 7, 1]
+        # the next sum starts on the rung the last one ended on
+        frame = frames.frame
+        frames.round_sum(terms[:1], [1.0], RoundSpec(1e-12))
+        assert frames.frame is frame
+
+    def test_max_rank_needs_room_for_what_it_keeps(self, monkeypatch):
+        # cut to rank 2, the sum needs a frame with room for 2: rung 2,
+        # rank 7 (7 - 4 = 3), not rung 6; the extra ranks oversample the cut
+        monkeypatch.setattr(streaming, "GROWTH_START", 4)
+        dims = [6, 6, 6, 6]
+        terms = [tt_random(dims, [3, 5, 3], seed=70 + i) for i in range(3)]
+        coeffs = [1.0, -0.5, 2.0]
+        frames = GrowingFrame(dims, seed=0)
+        got = frames.round_sum(terms, coeffs, RoundSpec(1e-12, max_rank=2))
+        assert frames.rung == 2 and list(got.ranks) == [1, 2, 2, 2, 1]
+        want = sum(c * tt_to_dense(t) for c, t in zip(coeffs, terms))
+        best = tt_to_dense(tt_round(tt_from_dense(want, RoundSpec(0.0)), RoundSpec(0.0, 2)))
+        assert rel_err(tt_to_dense(got), want) <= 1.5 * rel_err(best, want)
+
+    def test_seed_draws_the_frame(self):
+        dims = [4, 4, 4]
+        a, b, c = (GrowingFrame(dims, seed=s).frame for s in (0, 0, 1))
+        assert all(np.array_equal(x, y) for x, y in zip(a.right.cores, b.right.cores))
+        assert not np.array_equal(a.right.cores[1], c.right.cores[1])
