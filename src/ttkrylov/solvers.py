@@ -33,7 +33,7 @@ z_k, and A z_k passes through three parts:
   basis vector.  The sketched variants run modified Gram-Schmidt against
   the last ell vectors and round once, at eta * tol, after the last step.
   Each step subtracts its vector with ``tt_add``, which adds the vector's
-  ranks to w's, except the last step of an explicit window without a
+  ranks to w's, except the last step of a sketched window without a
   preconditioner: there the newest window vector is z itself, and h z is
   subtracted inside A z.  That takes a block E with A + sigma I = (A's
   cores 0..d-2, last core + sigma E), found once per solve by
@@ -43,14 +43,7 @@ z_k, and A z_k passes through three parts:
   operator.  The rows of w's last core that hold A z's then become the
   last core of (A - h I) z, and the rounding's input keeps A z's ranks
   rho r instead of (rho + 1) r; A z, its sketch and every h are those
-  ``tt_add`` gives.  Without E the last step takes ``tt_add`` too.  With
-  ``combine_mode="stta"`` they combine the sketch pairs of A z and of the
-  window vectors instead and recover the result once (its sketch of A z
-  counts as rounding); each window entry carries its vector's sketch
-  pair, the assembly's own pair when z_k is v_k, and drops it with the
-  vector.  The frame's recovery ranks then cap every basis vector; the
-  report warns, once, when a vector reaches the cap at a mode where it is
-  below the full rank.
+  ``tt_add`` gives.  Without E the last step takes ``tt_add`` too.
 * least squares: one problem, min_y ||M y - rhs||, solved by SVD
   (``sketched_lsq``) in ``_LeastSquares``.  ``tt_gmres`` fits the Hessenberg
   matrix H to beta e_1, the coordinates of A V in the orthonormal basis; the
@@ -91,13 +84,7 @@ import numpy as np
 
 from .precond import ExpSumPreconditioner
 from .sketch import KhatriRaoSketch, kr_apply
-from .streaming import (
-    GrowingFrame,
-    StreamedSum,
-    StreamFrame,
-    stream_recover,
-    stream_sketch,
-)
+from .streaming import GrowingFrame, StreamedSum, StreamFrame
 from .tt import (
     RoundedSum,
     RoundSpec,
@@ -106,7 +93,6 @@ from .tt import (
     TTVector,
     _matvec_core,
     _norm,
-    attainable_ranks,
     check_count,
     check_finite,
     tt_add,
@@ -125,7 +111,6 @@ _LSQ_RCOND = 1e-12
 _BREAKDOWN_FACTOR = 1e-14
 _CONDITION_WATERMARK = 1e-10
 _RANK_DEFICIENT = "sketched basis nearly rank-deficient"
-_FRAME_CAPS = "the recovery frame caps the basis vector at modes"
 # the solver frame's left ranks exceed its recovery ranks by this much
 FRAME_OVERSAMPLING = 20
 
@@ -144,7 +129,6 @@ class SolverConfig:
     # recovery rank; give it a few ranks of headroom above the solution's
     # own (default: max(2 * largest rank of b, 20))
     solution_rank: int | None = None
-    combine_mode: str = "explicit"  # or "stta"
     # seeds tt_gmres's Gram-Schmidt frames (GrowingFrame) and, at seed + 1,
     # the solution frame of a sketched variant given none; ttk also draws
     # the sketch from it
@@ -161,8 +145,6 @@ class SolverConfig:
         for key in ("ell", "maxit", "max_rank", "solution_rank", "sketch_rows"):
             if getattr(self, key) is not None:
                 check_count(getattr(self, key), key)
-        if self.combine_mode not in ("explicit", "stta"):
-            raise ValueError("combine_mode must be 'explicit' or 'stta'")
         if self.sketch_rows is None:
             self.sketch_rows = 2 * self.maxit
         if self.sketch_rows <= self.maxit:
@@ -373,30 +355,25 @@ def _krylov(a, b, x0, cfg: SolverConfig, sketch=None, frame=None, precond=None):
         sol_spec = RoundSpec(cfg.tol, default_solution_rank(b, cfg))
         assembly = StreamedSum(frame, sol_spec, start=x0)
         keep = partial(timer.timed, "sketch", assembly.add)
-    stta = frame is not None and cfg.combine_mode == "stta"
     window_size = cfg.maxit + 1 if relaxed else cfg.ell
-    # (basis index, basis vector, its sketch pair once expanded under stta)
-    window = [(0, tt_scale(r0, 1.0 / beta), None)]
+    window = [(0, tt_scale(r0, 1.0 / beta))]  # (basis index, basis vector)
     if cfg.track_true_residual:
         report.res_true = []
     spec = RoundSpec(cfg.eta * cfg.tol, cfg.max_rank)
     rel_res = beta / nb
     converged = False
     pinv = (lambda v: v) if precond is None else precond.apply_inverse
-    # with z = v and an explicit, once-rounded window, the newest window
-    # vector is z itself and folds into A z (see the module docstring)
-    shift = None if relaxed or stta or precond is not None else tt_op_shift_core(a)
+    # with z = v and a once-rounded window, the newest window vector is z
+    # itself and folds into A z (see the module docstring)
+    shift = None if relaxed or precond is not None else tt_op_shift_core(a)
     growing = GrowingFrame(b.dims, cfg.seed) if relaxed else None
 
     for k in range(1, cfg.maxit + 1):
         if k > 1:
             timer.open_row()
         # expand: z = P^{-1} v enters the solution, A z the Krylov space
-        i, v, _ = window[-1]
-        z = timer.timed("matvec", pinv, v)
-        kept = keep(z)
-        if stta:  # without P^{-1}, z is v and its pair is kept already
-            window[-1] = (i, v, kept if z is v else timer.timed("sketch", stream_sketch, v, frame))
+        z = timer.timed("matvec", pinv, window[-1][1])
+        keep(z)
         w = timer.timed("matvec", tt_matvec, a, z)
         if not relaxed:  # the sketched least squares fits S A z, not col
             sw = timer.timed("sketch", kr_apply, sketch, w)
@@ -409,36 +386,25 @@ def _krylov(a, b, x0, cfg: SolverConfig, sketch=None, frame=None, precond=None):
         t0 = time.perf_counter()
         col = np.zeros(k + 1)
         if relaxed:  # classical Gram-Schmidt, one streamed rounding
-            basis = [v for _, v, _ in window]
+            basis = [v for _, v in window]
             col[:k] = [tt_dot(w, v) for v in basis]
             w = growing.round_sum([w, *basis], [1.0, *-col[:k]], spec)
         else:  # modified Gram-Schmidt
-            for i, v, _ in window:
+            for i, v in window:
                 col[i] = tt_dot(w, v)
                 if v is z and shift is not None:
                     w = _subtract_shifted(w, shift, z, col[i])
-                elif not stta:
+                else:
                     w = tt_add(w, tt_scale(v, -col[i]))
         timer.add("orth", t0)
-        if stta:  # recover w - sum_i col_i v_i from the sketch pairs
-            t0 = time.perf_counter()
-            w = stream_recover([stream_sketch(w, frame), *(p for _, _, p in window)],
-                               [1.0, *(-col[i] for i, _, _ in window)], spec)
-            timer.add("round", t0)
-            # a vector that reaches a recovery rank below the full rank may
-            # have been truncated there; warn once per solve
-            capped = [m for m, f in enumerate(attainable_ranks(b.dims), 1)
-                      if frame.right.ranks[m] < f and w.ranks[m] >= frame.right.ranks[m]]
-            if capped and not any(_FRAME_CAPS in msg for msg in report.warnings):
-                report.warnings.append(f"iteration {k}: {_FRAME_CAPS} {capped}")
-        elif not relaxed:
+        if not relaxed:
             w = timer.timed("round", tt_round, w, spec)
         # w is a tt_round output: cores 0..d-2 are left-orthonormal, so
         # the norm is that of the last core
         hnew = col[k] = _norm(w.cores[-1])
         lucky = hnew <= _BREAKDOWN_FACTOR * _norm(col)
         if not lucky:
-            window.append((k, tt_scale(w, 1.0 / hnew), None))
+            window.append((k, tt_scale(w, 1.0 / hnew)))
         del w  # its cores may be views into larger arrays: free them before the next A z
         report.max_resident_basis = max(report.max_resident_basis, len(window))
         if len(window) > window_size:
@@ -491,11 +457,7 @@ def tt_gmres(a: TTOperator, b: TTVector, x0: TTVector | None, cfg: SolverConfig)
 
 
 def tt_sgmres_vanilla(a, b, x0, cfg: SolverConfig, sketch: KhatriRaoSketch):
-    """Sketched GMRES keeping the whole basis; fragile final summation.
-
-    Ignores ``cfg.combine_mode``: with no sketch pairs of the basis, the
-    window is always combined explicitly.
-    """
+    """Sketched GMRES keeping the whole basis; fragile final summation."""
     return _krylov(a, b, x0, cfg, sketch)
 
 

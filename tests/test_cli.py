@@ -117,6 +117,7 @@ class TestSolve:
             ("solver", "track_true_residual", "true"),  # an [output] key
             ("problem", "convection", "1, 0, 0"),  # a tuple field has no key
             ("preconditioner", "accumulate", "stream"),
+            ("solver", "combine_mode", "stta"),
         ],
     )
     def test_unknown_key_exits_1(self, tmp_path, capsys, section, key, value):
@@ -222,8 +223,11 @@ class TestSweep:
         assert len(rows) == 2
 
 
-# the rank-2 recovery frame caps tt_sgmres's STTA basis: a warning, every run
-CAPPED_STTA = BASE_PDE.replace("solution_rank = 10", "solution_rank = 2\ncombine_mode = stta")
+# a rank-2 basis stalls tt_sgmres's sketched least squares: two warnings,
+# every run; tt_gmres runs to maxit without one
+RANK_CAPPED = BASE_PDE.replace("solution_rank = 10", "solution_rank = 10\nmax_rank = 2")
+STALLED = "sketched basis stopped growing"
+RANK_DEFICIENT = "sketched basis nearly rank-deficient"
 
 
 class TestTableWarnings:
@@ -232,23 +236,23 @@ class TestTableWarnings:
         "[sweep]\naxis = n\nvalues = 4, 5\n",
     ], ids=["compare", "sweep"])
     def test_each_run_prints_its_warnings(self, tmp_path, capsys, section):
-        cfg = write_cfg(tmp_path / "w.cfg", CAPPED_STTA + "\n" + section)
+        cfg = write_cfg(tmp_path / "w.cfg", RANK_CAPPED + "\n" + section)
         main([section[1:section.index("]")], cfg, "--out-dir", str(tmp_path)])
         lines = capsys.readouterr().out.splitlines()
         runs = [i for i, line in enumerate(lines) if "iterations=" in line]
         assert len(runs) == 2
         for i in runs:
             sgmres = "tt_sgmres:" in lines[i]
-            assert ("caps the basis" in lines[i + 1]) == sgmres
+            assert lines[i + 1].startswith("warning: iteration") == sgmres
             if sgmres:
-                assert lines[i + 1].startswith("warning: iteration")
+                assert RANK_DEFICIENT in lines[i + 1] and STALLED in lines[i + 2]
 
     def test_solve_prints_warnings_before_the_trace_line(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path / "w.cfg", CAPPED_STTA)
+        cfg = write_cfg(tmp_path / "w.cfg", RANK_CAPPED)
         assert main(["solve", cfg, "--out-dir", str(tmp_path)]) == 2
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("tt_sgmres: iterations=")
-        assert "caps the basis" in lines[1]
+        assert STALLED in lines[-2]
         assert all(line.startswith("warning: iteration") for line in lines[1:-1])
         assert lines[-1] == f"trace written to {tmp_path / 'run.csv'}"
 
@@ -259,8 +263,7 @@ NO_OVERRIDES = argparse.Namespace(maxit=None, tol=None, seed=None, track_true_re
 FIELD_VALUES = {
     "maxit": 7, "tol": 1e-3, "ell": 2, "eta": 0.5, "max_rank": 9,
     "sketch_rows": 333, "solution_rank": 13,
-    "combine_mode": "stta", "seed": 42, "track_true_residual": True,
-    "force_iterations": True,
+    "seed": 42, "track_true_residual": True, "force_iterations": True,
 }
 
 

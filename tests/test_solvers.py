@@ -307,15 +307,11 @@ class TestReportInvariants:
         assert rep.res_true[-1] <= 10 * max(rep.res_sketched[-1], 1e-8)
         assert rep.res_true[-1] == true_residual(op, rhs, x)
         # tracking only observes: without it the solve is bitwise the same
-        for mode in ("explicit", "stta"):
-            tracked, untracked = (
-                run_variant(name, op, rhs, None,
-                            replace(cfg, combine_mode=mode, track_true_residual=track), pre)
-                for track in (True, False))
-            assert all(np.array_equal(c, u) for c, u in zip(tracked[0].cores, untracked[0].cores))
-            assert tracked[1].res_sketched == untracked[1].res_sketched
-            assert tracked[1].basis_rank == untracked[1].basis_rank
-            assert tracked[1].iterations == untracked[1].iterations
+        untracked = run_variant(name, op, rhs, None, replace(cfg, track_true_residual=False), pre)
+        assert all(np.array_equal(c, u) for c, u in zip(x.cores, untracked[0].cores))
+        assert rep.res_sketched == untracked[1].res_sketched
+        assert rep.basis_rank == untracked[1].basis_rank
+        assert rep.iterations == untracked[1].iterations
 
 
 def appended_basis(monkeypatch):
@@ -337,14 +333,11 @@ class TestBasisNormalization:
     """h_new is taken from the last core of the rounded w, so every
     appended basis vector must have unit norm."""
 
-    @pytest.mark.parametrize("name,mode", [("gmres", "explicit"), ("sgmres", "explicit"),
-                                           ("sgmres", "stta"), ("spgmres", "explicit"),
-                                           ("spgmres", "stta")])
-    def test_appended_vectors_have_unit_norm(self, monkeypatch, name, mode):
+    @pytest.mark.parametrize("name", ["gmres", "sgmres", "spgmres"])
+    def test_appended_vectors_have_unit_norm(self, monkeypatch, name):
         spec = ConvectionDiffusionSpec(d=3, n=5)
         op, rhs = convection_diffusion(spec)
-        cfg = SolverConfig(maxit=12, tol=1e-10, ell=2, seed=4, combine_mode=mode,
-                           solution_rank=12)
+        cfg = SolverConfig(maxit=12, tol=1e-10, ell=2, seed=4, solution_rank=12)
         pre = None
         if name == "spgmres":
             pre = ExpSumPreconditioner.from_kron_sum(cd_factor_matrices(spec), 3, RoundSpec(1e-12))
@@ -354,12 +347,11 @@ class TestBasisNormalization:
         for v in appended:
             assert abs(tt_norm(v) - 1.0) <= 1e-13
 
-    @pytest.mark.parametrize("name,mode", [("gmres", "explicit"), ("sgmres", "explicit"),
-                                           ("sgmres", "stta")])
-    def test_lucky_breakdown_appends_nothing_and_converges(self, monkeypatch, name, mode):
+    @pytest.mark.parametrize("name", ["gmres", "sgmres"])
+    def test_lucky_breakdown_appends_nothing_and_converges(self, monkeypatch, name):
         dims = [3, 3, 3]
         b = tt_random(dims, [1, 1], seed=8)
-        cfg = SolverConfig(maxit=6, tol=1e-9, seed=4, combine_mode=mode)
+        cfg = SolverConfig(maxit=6, tol=1e-9, seed=4)
         appended = appended_basis(monkeypatch)
         x, rep = run_variant(name, identity_operator(dims), b, None, cfg)
         assert rep.converged and rep.iterations == 1 and appended == []
@@ -367,7 +359,7 @@ class TestBasisNormalization:
 
 
 class TestShiftedFold:
-    """Without a preconditioner the explicit window's newest vector is z,
+    """Without a preconditioner the sketched window's newest vector is z,
     and h z is subtracted inside A z's last core (``_subtract_shifted``).
     MGS makes each appended vector orthogonal to the one before it up to
     the rounding; a shift of the wrong sign or channel would leave a
@@ -389,12 +381,12 @@ class TestShiftedFold:
         for v, w in zip(basis, basis[1:]):
             assert abs(tt_dot(w, v)) <= 10 * cfg.eta * cfg.tol
 
-    def test_preconditioned_and_stta_runs_do_not_fold(self, monkeypatch):
+    def test_preconditioned_and_gmres_runs_do_not_fold(self, monkeypatch):
         op, rhs = _small_problem()
         calls = []
         monkeypatch.setattr(solvers, "_subtract_shifted", lambda *args: calls.append(args))
-        for name, mode in (("spgmres", "explicit"), ("sgmres", "stta"), ("gmres", "explicit")):
-            run_variant(name, op, rhs, None, SolverConfig(maxit=6, tol=1e-10, combine_mode=mode))
+        for name in ("spgmres", "gmres"):
+            run_variant(name, op, rhs, None, SolverConfig(maxit=6, tol=1e-10))
         assert calls == []
 
 
@@ -471,15 +463,6 @@ class TestTTsGMRES:
         hist = rep.res_sketched
         for a, b in zip(hist, hist[1:]):
             assert b <= a + 1e-12
-
-    def test_stta_combine_mode(self):
-        op, rhs = _small_problem()
-        cfg = SolverConfig(maxit=100, tol=1e-7, ell=2, seed=14, combine_mode="stta",
-                           solution_rank=10)
-        s = kr_sketch_new(rhs.dims, cfg.sketch_rows, seed=15)
-        x, rep = tt_sgmres(op, rhs, None, cfg, s)
-        assert rep.converged
-        assert true_residual(op, rhs, x) <= 1e-5
 
     def test_nonzero_initial_guess(self):
         op, rhs = _small_problem()
@@ -558,18 +541,6 @@ class TestSolverFrame:
         (it_new, res_new), (it_old, res_old) = runs
         assert it_new == it_old
         assert res_new <= 1.5 * res_old
-
-    def test_stta_warns_when_the_frame_caps_a_basis_vector(self):
-        op, rhs = convection_diffusion(ConvectionDiffusionSpec(d=4, n=8))
-        warned = {}
-        for mode in ("explicit", "stta"):
-            cfg = SolverConfig(maxit=20, tol=1e-8, seed=0, solution_rank=3, combine_mode=mode)
-            s = kr_sketch_new(rhs.dims, cfg.sketch_rows, seed=0)
-            _, rep = tt_sgmres(op, rhs, None, cfg, s)
-            warned[mode] = rep.warnings
-        assert warned["explicit"] == []
-        assert warned["stta"] == [
-            "iteration 2: the recovery frame caps the basis vector at modes [1, 2, 3]"]
 
 
 class TestVanilla:
@@ -677,33 +648,16 @@ class TestFlexiblePreconditioning:
         if rep.converged:
             assert true_residual(op, rhs, x) <= 10 * cfg.tol
 
-    def test_stta_matches_explicit(self):
-        # the STTA window must combine the pairs of the v_i, not of the z_i
-        spec = ConvectionDiffusionSpec(d=3, n=5)
-        op, rhs = convection_diffusion(spec)
-        p = ExpSumPreconditioner.from_kron_sum(cd_factor_matrices(spec), 3, RoundSpec(3e-9))
-        runs = {}
-        for mode in ("explicit", "stta"):
-            cfg = SolverConfig(maxit=30, tol=1e-8, ell=1, seed=0, solution_rank=12,
-                               combine_mode=mode)
-            s = kr_sketch_new(rhs.dims, cfg.sketch_rows, seed=0)
-            x, rep = tt_spgmres(op, p, rhs, None, cfg, s)
-            runs[mode] = rep.iterations, true_residual(op, rhs, x)
-        (it_e, res_e), (it_s, res_s) = runs["explicit"], runs["stta"]
-        assert abs(it_s - it_e) <= 1
-        assert res_e / 10 <= res_s <= 10 * res_e
-
 
 class TestNonFiniteInput:
-    @pytest.mark.parametrize("solver", ["gmres", "sgmres", "sgmres-stta", "spgmres"])
+    @pytest.mark.parametrize("solver", ["gmres", "sgmres", "spgmres"])
     def test_nan_rhs_rejected(self, solver):
         op, rhs = _small_problem()
         rhs = rhs.copy()  # the problem's rhs cores may share one buffer
         rhs.cores[1][0, 2, 0] = np.nan
-        mode = "stta" if solver == "sgmres-stta" else "explicit"
-        cfg = SolverConfig(maxit=10, tol=1e-6, seed=0, combine_mode=mode)
+        cfg = SolverConfig(maxit=10, tol=1e-6, seed=0)
         with pytest.raises(NonFiniteCore, match="core 1"):
-            run_variant(solver.removesuffix("-stta"), op, rhs, None, cfg)
+            run_variant(solver, op, rhs, None, cfg)
 
     def test_inf_initial_guess_rejected(self):
         op, rhs = _small_problem()
@@ -715,34 +669,31 @@ class TestNonFiniteInput:
     # these used to reach LAPACK in tt_sgmres ("DLASCL parameter number 4
     # had an illegal value", then "SVD did not converge in Linear Least
     # Squares"), and tt_gmres and tt_spgmres named a core of a Krylov vector
-    @pytest.mark.parametrize("solver", ["gmres", "vanilla", "sgmres", "sgmres-stta", "spgmres"])
+    @pytest.mark.parametrize("solver", ["gmres", "vanilla", "sgmres", "spgmres"])
     def test_nan_operator_core_rejected(self, solver, capfd):
         op, rhs = _small_problem()
         op = op.copy()
         op.op_cores[1][1, 0, 0, 0] = np.nan
-        mode = "stta" if solver == "sgmres-stta" else "explicit"
-        cfg = SolverConfig(maxit=10, tol=1e-6, seed=0, combine_mode=mode)
+        cfg = SolverConfig(maxit=10, tol=1e-6, seed=0)
         with pytest.raises(NonFiniteCore, match="^operator core 1 holds a non-finite entry$"):
-            run_variant(solver.removesuffix("-stta"), op, rhs, None, cfg)
+            run_variant(solver, op, rhs, None, cfg)
         assert capfd.readouterr() == ("", "")
 
-    @pytest.mark.parametrize("solver", ["vanilla", "sgmres", "sgmres-stta", "spgmres"])
+    @pytest.mark.parametrize("solver", ["vanilla", "sgmres", "spgmres"])
     def test_nan_sketch_factor_rejected(self, solver, capfd):
         op, rhs = _small_problem()
-        mode = "stta" if solver == "sgmres-stta" else "explicit"
-        cfg = SolverConfig(maxit=10, tol=1e-6, seed=0, combine_mode=mode)
+        cfg = SolverConfig(maxit=10, tol=1e-6, seed=0)
         s = kr_sketch_new(rhs.dims, cfg.sketch_rows, seed=1)
         s.factors[2][3, 1] = np.nan
         with pytest.raises(NonFiniteCore, match="^sketch factor 2 holds a non-finite entry$"):
-            run_variant(solver.removesuffix("-stta"), op, rhs, None, cfg, sketch=s)
+            run_variant(solver, op, rhs, None, cfg, sketch=s)
         assert capfd.readouterr() == ("", "")
 
 
 # ---------------------------------------------------------------------------
 # extreme magnitudes: a solve of s b returns s x, and stops where b's does
 
-MAGNITUDE_RUNS = [("gmres", "explicit"), ("vanilla", "explicit"), ("sgmres", "explicit"),
-                  ("sgmres", "stta"), ("spgmres", "explicit"), ("spgmres", "stta")]
+MAGNITUDE_RUNS = ["gmres", "vanilla", "sgmres", "spgmres"]
 
 
 @functools.cache
@@ -753,15 +704,15 @@ def magnitude_problem():
     op, rhs = convection_diffusion(spec)
     pre = ExpSumPreconditioner.from_kron_sum(cd_factor_matrices(spec), 3, RoundSpec(0.3e-6))
     iterations = {}
-    for name, mode in MAGNITUDE_RUNS:
-        _, rep = solve_scaled(op, rhs, pre, name, mode, 1.0)
+    for name in MAGNITUDE_RUNS:
+        _, rep = solve_scaled(op, rhs, pre, name, 1.0)
         assert rep.converged
-        iterations[name, mode] = rep.iterations
+        iterations[name] = rep.iterations
     return op, rhs, pre, iterations
 
 
-def solve_scaled(op, rhs, pre, name, mode, s):
-    cfg = SolverConfig(maxit=40, tol=1e-6, seed=0, combine_mode=mode)
+def solve_scaled(op, rhs, pre, name, s):
+    cfg = SolverConfig(maxit=40, tol=1e-6, seed=0)
     return run_variant(name, op, tt_scale(rhs, s), None, cfg, pre)
 
 
@@ -770,19 +721,19 @@ class TestExtremeMagnitudes:
     # converged after one iteration with a wrong x, and b scaled by 1e-200
     # raised ZeroDivisionError in the sketched variants
     @pytest.mark.parametrize("s", [1e200, 1e300, 1e-200, 1e-300])
-    @pytest.mark.parametrize("name,mode", MAGNITUDE_RUNS)
-    def test_scaled_rhs_stops_where_b_does(self, name, mode, s):
+    @pytest.mark.parametrize("name", MAGNITUDE_RUNS)
+    def test_scaled_rhs_stops_where_b_does(self, name, s):
         op, rhs, pre, iterations = magnitude_problem()
-        x, rep = solve_scaled(op, rhs, pre, name, mode, s)
+        x, rep = solve_scaled(op, rhs, pre, name, s)
         assert rep.converged
-        assert rep.iterations == iterations[name, mode]
+        assert rep.iterations == iterations[name]
         assert true_residual(op, rhs, tt_scale(x, 1.0 / s)) <= 1e-5
 
     @settings(max_examples=15, deadline=None)
     @given(k=st.integers(-1000, 1000))
     def test_power_of_two_scaling(self, k):
         op, rhs, pre, iterations = magnitude_problem()
-        for name, mode in MAGNITUDE_RUNS:
-            _, rep = solve_scaled(op, rhs, pre, name, mode, 2.0**k)
+        for name in MAGNITUDE_RUNS:
+            _, rep = solve_scaled(op, rhs, pre, name, 2.0**k)
             assert rep.converged
-            assert rep.iterations == iterations[name, mode]
+            assert rep.iterations == iterations[name]

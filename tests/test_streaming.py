@@ -403,10 +403,10 @@ class TestKeptPairs:
         assert acc.nbytes == sum(p.nbytes for p in kept)
         assert acc.nbytes < sum(a.nbytes for p in dense for a in p.psi + p.omega)
 
-    def test_stta_solve_reusing_kept_pairs(self, monkeypatch):
-        # ell = 2 keeps two window entries, the newest one's pair being the
-        # assembly's kept pair; the same solve on dense pairs (kept = self)
-        # must agree bitwise
+    def test_solve_reusing_kept_pairs(self, monkeypatch):
+        # every tracked iterate and the solution are recovered from the kept
+        # pairs, some of them factored; the same solve on dense pairs
+        # (kept = self) must agree bitwise and keep more
         op, rhs = convection_diffusion(ConvectionDiffusionSpec(d=3, n=8))
         runs, factored = [], []
         real_kept = SketchPair.kept
@@ -418,12 +418,13 @@ class TestKeptPairs:
 
         for kept in (spy, lambda pair: pair):
             monkeypatch.setattr(SketchPair, "kept", kept)
-            cfg = SolverConfig(maxit=30, tol=1e-7, ell=2, seed=14, combine_mode="stta")
+            cfg = SolverConfig(maxit=30, tol=1e-7, seed=14, track_true_residual=True)
             sk = kr_sketch_new(rhs.dims, cfg.sketch_rows, seed=15)
             runs.append(tt_sgmres(op, rhs, None, cfg, sk))
         assert any(factored)
         (x, rep), (x_dense, rep_dense) = runs
         assert rep.res_sketched == rep_dense.res_sketched
+        assert rep.res_true == rep_dense.res_true
         assert all(np.array_equal(a, b) for a, b in zip(x.cores, x_dense.cores))
         assert 0 < rep.kept_mb < rep_dense.kept_mb
 

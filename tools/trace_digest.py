@@ -5,17 +5,15 @@ Run from the repository root::
     python3 tools/trace_digest.py
 
 Runs the four GMRES variants on small convection-diffusion and Markov
-problems (d=3, n=5) over fixed seeds, with ``ell`` 1 and 2 and both
-``combine_mode`` values (``tt_gmres`` ignores both, ``tt_sgmres_vanilla``
-ignores ``combine_mode``), from a zero and from a random initial guess.
+problems (d=3, n=5) over fixed seeds, with ``ell`` 1 and 2 (``tt_gmres``
+ignores it), from a zero and from a random initial guess.
 ``tt_spgmres`` uses an exponential-sum preconditioner with zeta=3.
 
 At n=5 every recovery rank of the solver frame is clipped to the full rank
-5, so those runs cannot see the frame's size.  Sixteen more runs can: a
+5, so those runs cannot see the frame's size.  Eight more runs can: a
 convection-diffusion problem with d=4, n=8 (full ranks 8, 64, 8), solved
-from zero by ``tt_sgmres`` and by ``tt_spgmres``, at ``ell`` 1 and 2 in
-both modes; at ``ell=2`` a capped STTA window also drops sketch pairs.
-104 runs in all.  For each run it prints two SHA-256 digests:
+from zero by ``tt_sgmres`` and by ``tt_spgmres``, at ``ell`` 1 and 2.
+64 runs in all.  For each run it prints two SHA-256 digests:
 
 * ``run``: iterations, converged, the sketched and true residual histories,
   the warnings, the length of every phase-time history and the bytes of the
@@ -65,21 +63,18 @@ def problems():
 
 
 def variants():
-    """(solver, ell, combine_mode)."""
-    yield "tt_gmres", 1, "explicit"
+    """(solver, ell)."""
+    yield "tt_gmres", 1
     for ell in (1, 2):
-        yield "tt_sgmres_vanilla", ell, "explicit"
-        for mode in ("explicit", "stta"):
-            yield "tt_sgmres", ell, mode
-            yield "tt_spgmres", ell, mode
+        for name in ("tt_sgmres_vanilla", "tt_sgmres", "tt_spgmres"):
+            yield name, ell
 
 
 def frame_variants():
     """The solvers that stream their solution through a frame."""
     for ell in (1, 2):
         for name in ("tt_sgmres", "tt_spgmres"):
-            for mode in ("explicit", "stta"):
-                yield name, ell, mode
+            yield name, ell
 
 
 def solve(name, op, rhs, x0, cfg, precond):
@@ -119,15 +114,15 @@ def main():
         for seed in SEEDS:
             for guess in guesses:
                 x0 = None if guess == "zero" else ttk.tt_random(rhs.dims, [2, 2], seed=100 + seed)
-                for name, ell, mode in runs():
+                for name, ell in runs():
                     cfg = ttk.SolverConfig(
                         maxit=30, tol=1e-8, ell=ell, seed=seed, solution_rank=12,
-                        combine_mode=mode, track_true_residual=True,
+                        track_true_residual=True,
                     )
                     x, rep = solve(name, op, rhs, x0, cfg, precond)
                     run, rank = digests(x, rep)
-                    label = f"{pname} seed={seed} x0={guess} {name} ell={ell} {mode}"
-                    print(f"{label:<59} iters={rep.iterations:<3} res_true={rep.res_true[-1]:.2e}"
+                    label = f"{pname} seed={seed} x0={guess} {name} ell={ell}"
+                    print(f"{label:<50} iters={rep.iterations:<3} res_true={rep.res_true[-1]:.2e}"
                           f" run={run} rank={rank}")
 
 
