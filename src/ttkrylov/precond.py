@@ -18,6 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+# np.linalg.solve's kernel for one right-hand side, called without its wrapper
+from numpy.linalg._umath_linalg import solve1 as _solve
+from scipy.linalg.lapack import dgeqp3
 from scipy.optimize import nnls
 
 from .streaming import streamed_mode_sum
@@ -33,10 +36,14 @@ _EXCHANGE_STEPS = 20
 
 
 def matrix_exp(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with degree-13 Pade."""
+    """Matrix exponential by scaling-and-squaring with degree-13 Pade.
+
+    Takes one square matrix or a stack of them, shape (k, n, n); a stack's
+    exponentials are bitwise those of its matrices taken one at a time.
+    """
     m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeMismatch(f"matrix_exp needs a square matrix, got {m.shape}")
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise ShapeMismatch(f"matrix_exp needs a square matrix or a stack of them, got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix_exp needs finite entries")
     return scipy.linalg.expm(m)
@@ -50,12 +57,23 @@ def _eval_relerr(z, alpha, beta):
 
 def _scaled_basis(z, beta):
     """The functions z*exp(-beta_j z) on the grid z, each column scaled to
-    max-norm 1; returns (basis, scale)."""
+    max-norm 1; returns (basis, scale), basis C-ordered.
+
+    Each product, exponential, maximum and quotient is worked out on rows
+    beta_j * z, where numpy's loops run along the grid, and the result is
+    transposed once; the entries are nonnegative, so the column maxima are
+    the max-norms.
+    """
+    rows = np.multiply.outer(beta, z)
+    np.clip(rows, 0.0, 700.0, out=rows)
+    np.negative(rows, out=rows)
     with np.errstate(over="ignore", under="ignore"):
-        basis = z[:, None] * np.exp(-np.clip(np.outer(z, beta), 0.0, 700.0))
-    scale = np.abs(basis).max(axis=0)
+        np.exp(rows, out=rows)
+        rows *= z
+    scale = rows.max(axis=1)
     scale[scale == 0] = 1.0
-    return basis / scale, scale
+    rows /= scale[:, None]
+    return rows.T.copy(), scale
 
 
 def _ladder(u, v, lo, hi, zeta):
@@ -90,54 +108,73 @@ def _exchange_weights(bs, best=np.inf):
     bound is the largest lower bound met (0 if none).  The exchange also
     stops, with a and err None, as soon as bound reaches ``best``: no fit
     for these nodes, the exchange's own included, can then beat ``best``.
+
+    A step costs its arithmetic: the (m+1) x (m+1) solve goes straight to
+    the LAPACK kernel that ``np.linalg.solve`` calls (``solve1``, so the
+    bits are that function's), the start reference is the ``dgeqp3``
+    pivot order that ``scipy.linalg.qr`` returns, and the error vector, the
+    reference and its system are updated in place, a swapped point by its
+    row.  The operations and their order are those of the plain loop.
     """
     npts, m = bs.shape
     # start from m+1 points where the basis and the constant are well
-    # separated: the pivots of a QR of every 8th grid point
-    coarse = np.vstack([bs[::8].T, np.ones(len(bs[::8]))])
-    ref = 8 * np.sort(scipy.linalg.qr(coarse, mode="r", pivoting=True)[1][: m + 1])
+    # separated: the pivots of a QR of every 8th grid point, by the dgeqp3
+    # that scipy.linalg.qr calls, on a Fortran-ordered matrix it works in
+    coarse = np.empty((m + 1, len(bs[::8])), order="F")
+    coarse[:m] = bs[::8].T
+    coarse[m] = 1.0
+    ref = 8 * np.sort(dgeqp3(coarse, overwrite_a=1)[1][: m + 1] - 1)
+    # the reference system, kept equal to [bs[ref], (-1)**k] row by row
     mat = np.empty((m + 1, m + 1))
+    mat[:, :m] = bs[ref]
     mat[:, m] = (-1.0) ** np.arange(m + 1)
     ones = np.ones(m + 1)
+    err, abs_err = np.empty(npts), np.empty(npts)
     h_prev = bound = 0.0
     a_best = err_best = None
-    for _ in range(_EXCHANGE_STEPS * (m + 1)):
-        mat[:, :m] = bs[ref]
-        try:
-            sol = np.linalg.solve(mat, ones)
-        except np.linalg.LinAlgError:
-            break
-        a, h = sol[:m], abs(sol[m])
-        # |h| never falls in exact arithmetic: if it does, rounding has
-        # taken over
-        if not h >= h_prev * (1.0 - _EXCHANGE_TOL):
-            break
-        h_prev = h
-        err = bs @ a - 1.0
-        sgn = np.sign(err[ref])
-        if np.all(sgn[1:] == -sgn[:-1]):
-            bound = max(bound, float(np.min(np.abs(err[ref]))))
-            if bound >= best:
-                return None, None, bound
-        i = int(np.argmax(np.abs(err)))
-        if abs(err[i]) <= bound * (1.0 + _EXCHANGE_TOL):
-            return a, float(abs(err[i])), bound
-        if err_best is None or abs(err[i]) < err_best:
-            a_best, err_best = a, float(abs(err[i]))
-        k = int(np.searchsorted(ref, i))
-        if k <= m and ref[k] == i:
-            break  # the worst point is already in the reference
-        # swap i in for the neighbour whose error has its sign; past either
-        # end with the opposite sign, drop the point at the other end
-        s_i = np.sign(err[i])
-        if k == 0 and sgn[0] != s_i:
-            ref = np.concatenate([[i], ref[:-1]])
-        elif k == m + 1 and sgn[m] != s_i:
-            ref = np.concatenate([ref[1:], [i]])
-        elif k == m + 1 or (k > 0 and sgn[k - 1] == s_i):
-            ref[k - 1] = i
-        else:
-            ref[k] = i
+    # solve1 marks a singular reference with NaN and the invalid flag, which
+    # np.linalg.solve turned into LinAlgError; here the NaN stops the loop
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        for _ in range(_EXCHANGE_STEPS * (m + 1)):
+            sol = _solve(mat, ones, signature="dd->d")
+            a, h = sol[:m], abs(sol[m])
+            # |h| never falls in exact arithmetic: if it does, rounding has
+            # taken over
+            if not h >= h_prev * (1.0 - _EXCHANGE_TOL):
+                break
+            h_prev = h
+            np.matmul(bs, a, out=err)
+            err -= 1.0
+            err_ref = err[ref]
+            sgn = np.sign(err_ref)
+            if (sgn[1:] == -sgn[:-1]).all():
+                bound = max(bound, float(np.abs(err_ref).min()))
+                if bound >= best:
+                    return None, None, bound
+            np.abs(err, out=abs_err)
+            i = int(abs_err.argmax())
+            err_i = float(abs_err[i])
+            if err_i <= bound * (1.0 + _EXCHANGE_TOL):
+                return a, err_i, bound
+            if err_best is None or err_i < err_best:
+                a_best, err_best = a, err_i
+            k = int(ref.searchsorted(i))
+            if k <= m and ref[k] == i:
+                break  # the worst point is already in the reference
+            # swap i in for the neighbour whose error has its sign; past
+            # either end with the opposite sign, drop the point at the other
+            s_i = np.sign(err[i])
+            if k == 0 and sgn[0] != s_i:
+                ref[1:], mat[1:, :m] = ref[:-1], mat[:-1, :m]
+                j = 0
+            elif k == m + 1 and sgn[m] != s_i:
+                ref[:-1], mat[:-1, :m] = ref[1:], mat[1:, :m]
+                j = m
+            elif k == m + 1 or (k > 0 and sgn[k - 1] == s_i):
+                j = k - 1
+            else:
+                j = k
+            ref[j], mat[j, :m] = i, bs[i]
     return a_best, err_best, bound
 
 
@@ -279,7 +316,7 @@ class ExpSumPreconditioner:
     """Approximate inverse of a Kronecker sum via exponential sums.
 
     Caches the zeta*d factor exponentials exp(-beta_j A_i) at
-    construction.  An apply forms the zeta rank-preserving mode products
+    construction, by one stacked ``matrix_exp`` call per factor.  An apply forms the zeta rank-preserving mode products
     (x_i exp(-beta_j A_i)) v and rounds their alpha-weighted sum in one
     streamed pass, ``streamed_mode_sum``: the products are sketched
     against one frame, the weighted sketches added and recovered once at
@@ -313,9 +350,9 @@ class ExpSumPreconditioner:
         self.spec = spec
         self.quad_bound = quad_bound
         self.stream_seed = check_count(stream_seed, "stream_seed", 0)
-        self.exps = [
-            [matrix_exp(-bj * f) for f in self.factors] for bj in self.beta
-        ]
+        # one stacked call per factor: exps[j][i] = exp(-beta_j A_i)
+        stacks = [matrix_exp(-self.beta[:, None, None] * f) for f in self.factors]
+        self.exps = [list(row) for row in zip(*stacks)]
 
     @property
     def dims(self) -> tuple[int, ...]:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.optimize import linprog
 
 import ttkrylov as ttk
@@ -129,6 +130,41 @@ class TestMatrixExp:
         with pytest.raises(ValueError):
             matrix_exp(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
+    def test_stack_equals_one_at_a_time(self):
+        # the preconditioner's stacks: -beta_j A for a non-normal factor,
+        # with and without squaring, and a diagonal matrix
+        beta = np.geomspace(1e-2, 1e3, 7)
+        stack = np.concatenate([-beta[:, None, None] * MARKOV4[0], np.diag([0.5, -2.0] * 10)[None]])
+        got = matrix_exp(stack)
+        assert got.shape == stack.shape
+        for g, m in zip(got, stack):
+            assert np.array_equal(g, matrix_exp(m))
+
+    @pytest.mark.parametrize("shape", [(3, 2, 3), (2, 2, 2, 2), (4,)])
+    def test_non_square_stack(self, shape):
+        with pytest.raises(ShapeMismatch):
+            matrix_exp(np.zeros(shape))
+
+    def test_non_finite_stack(self):
+        stack = np.zeros((3, 2, 2))
+        stack[2, 1, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            matrix_exp(stack)
+
+
+class TestScaledBasis:
+    def test_equals_the_plain_formula(self):
+        lo, hi = spectral_interval(MARKOV4)
+        z = fit_grid(lo, hi, 9)
+        beta = np.geomspace(np.exp(-1.5) / hi, np.exp(2.5) / lo, 9)
+        assert np.max(np.outer(z, beta)) > 700  # the clip binds
+        with np.errstate(under="ignore"):
+            plain = z[:, None] * np.exp(-np.clip(np.outer(z, beta), 0, 700))
+        bs, scale = _scaled_basis(z, beta)
+        assert np.array_equal(scale, plain.max(axis=0))
+        assert np.array_equal(bs, plain / plain.max(axis=0))
+        assert bs.flags.c_contiguous
+
 
 class TestExpsumCoeffs:
     def test_point_interval_high_zeta(self):
@@ -205,8 +241,74 @@ class TestExpsumCoeffs:
             expsum_coeffs(1.0, 2.0, zeta)
 
 
+def plain_exchange(bs, best=np.inf):
+    """``_exchange_weights`` written plainly, with ``np.linalg.solve`` and
+    ``scipy.linalg.qr``: the same operations in the same order."""
+    npts, m = bs.shape
+    coarse = np.vstack([bs[::8].T, np.ones(len(bs[::8]))])
+    ref = 8 * np.sort(scipy.linalg.qr(coarse, mode="r", pivoting=True)[1][: m + 1])
+    mat = np.empty((m + 1, m + 1))
+    mat[:, m] = (-1.0) ** np.arange(m + 1)
+    h_prev = bound = 0.0
+    a_best = err_best = None
+    for _ in range(precond._EXCHANGE_STEPS * (m + 1)):
+        mat[:, :m] = bs[ref]
+        try:
+            sol = np.linalg.solve(mat, np.ones(m + 1))
+        except np.linalg.LinAlgError:
+            break
+        a, h = sol[:m], abs(sol[m])
+        if not h >= h_prev * (1.0 - precond._EXCHANGE_TOL):
+            break
+        h_prev = h
+        err = bs @ a - 1.0
+        sgn = np.sign(err[ref])
+        if np.all(sgn[1:] == -sgn[:-1]):
+            bound = max(bound, float(np.min(np.abs(err[ref]))))
+            if bound >= best:
+                return None, None, bound
+        i = int(np.argmax(np.abs(err)))
+        if abs(err[i]) <= bound * (1.0 + precond._EXCHANGE_TOL):
+            return a, float(abs(err[i])), bound
+        if err_best is None or abs(err[i]) < err_best:
+            a_best, err_best = a, float(abs(err[i]))
+        k = int(np.searchsorted(ref, i))
+        if k <= m and ref[k] == i:
+            break
+        s_i = np.sign(err[i])
+        if k == 0 and sgn[0] != s_i:
+            ref = np.concatenate([[i], ref[:-1]])
+        elif k == m + 1 and sgn[m] != s_i:
+            ref = np.concatenate([ref[1:], [i]])
+        elif k == m + 1 or (k > 0 and sgn[k - 1] == s_i):
+            ref[k - 1] = i
+        else:
+            ref[k] = i
+    return a_best, err_best, bound
+
+
 class TestExchange:
     """The Remez exchange against a linear program on single windows."""
+
+    @pytest.mark.parametrize(
+        "lo, hi, zeta, u, v, best",
+        [
+            (2.85e-7, 28.5, 9, 0.0, 0.5, np.inf),
+            (2.85e-7, 28.5, 9, 0.0, 0.5, 0.05),  # stops on its lower bound
+            (2.85e-7, 28.5, 9, -1.5, 2.5, np.inf),
+            (0.2, 30.0, 9, 0.0, 0.5, np.inf),  # a negative weight
+            (0.5941868, 12.0, 24, 0.6, 2.5, np.inf),  # a rounding stop
+            (1.0, 1.0 + 1e-9, 20, -1.0, 2.0, np.inf),
+            (1e-3, 1e3, 40, 0.0, 1.0, np.inf),
+        ],
+    )
+    def test_same_bits_as_the_plain_loop(self, lo, hi, zeta, u, v, best):
+        bs = window_basis(lo, hi, zeta, u, v)
+        got, want = _exchange_weights(bs, best), plain_exchange(bs, best)
+        assert (got[0] is None) == (want[0] is None)
+        if got[0] is not None:
+            assert np.array_equal(got[0], want[0])
+        assert got[1:] == want[1:]
 
     # windows whose unconstrained minimax weights are all nonnegative
     @pytest.mark.parametrize(

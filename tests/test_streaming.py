@@ -484,7 +484,7 @@ def full_rank_sum(monkeypatch):
     return got, dense_mode_sum(v, matrices, coeffs), frames
 
 
-class TestAdaptiveStreamedSum:
+class TestStreamedModeSum:
     """``streamed_mode_sum``: the rank-adaptive streamed sum of the
     preconditioner's apply."""
 

@@ -23,6 +23,11 @@ from zero by ``tt_sgmres`` and by ``tt_spgmres``, at ``ell`` 1 and 2.
 Beside them it prints the iterations and the final tracked true residual,
 so that a change a digest flags shows its direction.
 
+Last, one ``fit`` line for each benchmark workload's interval at zeta 9
+(Markov d=4, n=20; convection-diffusion d=4, n=34 and d=6, n=64): the
+``repr`` of the fit's bound and a SHA-256 of the bytes of alpha and beta,
+so that any drift in a fit shows in the diff against another checkout.
+
 Compare the output of two checkouts on the same machine.  The digests are
 bitwise, so they depend on the BLAS and on its thread count; the script pins
 one thread.  It is not part of the test suite for that reason; CI only
@@ -46,6 +51,7 @@ import ttkrylov as ttk  # noqa: E402
 
 SEEDS = (0, 1)
 PRECOND_ZETA = 3
+FIT_ZETA = 9
 
 
 def problems():
@@ -75,6 +81,13 @@ def frame_variants():
     for ell in (1, 2):
         for name in ("tt_sgmres", "tt_spgmres"):
             yield name, ell
+
+
+def benchmark_intervals():
+    """(label, factor matrices) of the benchmark workloads' problems."""
+    yield "markov d=4 n=20", ttk.markov_factor_matrices(ttk.MarkovSpec(d=4, n=20, seed=0))
+    yield "cd d=4 n=34", ttk.cd_factor_matrices(ttk.ConvectionDiffusionSpec(d=4, n=34))
+    yield "cd d=6 n=64", ttk.cd_factor_matrices(ttk.ConvectionDiffusionSpec(d=6, n=64))
 
 
 def solve(name, op, rhs, x0, cfg, precond):
@@ -124,6 +137,10 @@ def main():
                     label = f"{pname} seed={seed} x0={guess} {name} ell={ell}"
                     print(f"{label:<50} iters={rep.iterations:<3} res_true={rep.res_true[-1]:.2e}"
                           f" run={run} rank={rank}")
+    for label, factors in benchmark_intervals():
+        alpha, beta, bound = ttk.expsum_coeffs(*ttk.spectral_interval(factors), FIT_ZETA)
+        ab = hashlib.sha256(alpha.tobytes() + beta.tobytes()).hexdigest()
+        print(f"fit {label} zeta={FIT_ZETA} bound={bound!r} ab={ab}")
 
 
 if __name__ == "__main__":
