@@ -46,10 +46,6 @@ from .tt import (
     TTVector,
     identity_operator,
     kron_sum_operator,
-    load_operator,
-    load_vector,
-    save_operator,
-    save_vector,
     tt_add,
     tt_dot,
     tt_from_dense,

@@ -26,8 +26,6 @@ library's default, and a section or key not listed here is an error:
   scalar field of that dataclass is a key, and ``d`` and ``n`` are required.
 * ``[solver]``: ``type`` names the variant; every field of ``SolverConfig``
   is a key, except ``track_true_residual``, which lives in ``[output]``.
-  The solver frame's oversampling is not a key: it is fixed
-  (``solvers.FRAME_OVERSAMPLING``).
 * ``[preconditioner]``: ``type = expsum`` with ``zeta`` and, optionally,
   ``max_rank`` (default: the solver's), passed to
   ``ExpSumPreconditioner.from_kron_sum`` with the solver's ``eta * tol``

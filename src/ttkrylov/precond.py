@@ -25,7 +25,9 @@ from scipy.optimize import nnls
 
 from .streaming import streamed_mode_sum
 from .tt import RoundSpec, ShapeMismatch, TTVector, check_count, check_finite
-# mode_multiply lives in tt; it stays importable from here, where it was
+# benchmarks/tracer.py looks mode_multiply up in this module (its
+# LAYER_FUNCTIONS entry (precond, "mode_multiply")) and reports it as
+# precond.mode_multiply; a traced benchmark run fails without this import
 from .tt import mode_multiply  # noqa: F401
 
 _EVAL_POINTS = 1000

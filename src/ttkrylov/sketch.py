@@ -25,6 +25,9 @@ class KhatriRaoSketch:
 
     def __init__(self, factors):
         self.factors = [np.asarray(f, dtype=np.float64) for f in factors]
+        for i, f in enumerate(self.factors):
+            if f.ndim != 2:
+                raise ShapeMismatch(f"factor {i} is not a matrix: shape {f.shape}")
         rows = {f.shape[0] for f in self.factors}
         if len(rows) != 1:
             raise ShapeMismatch("all factors must have the same row count")

@@ -18,9 +18,6 @@ from scipy.linalg.lapack import dgeqp3, dorgqr
 # Entry cap for densification helpers; keeps oracles at desk scale.
 DENSE_CAP = 1_000_000
 
-_VEC_MAGIC = b"TTKVEC01"
-_OP_MAGIC = b"TTKOPR01"
-
 
 class ShapeMismatch(ValueError):
     """Operands have incompatible mode sizes or rank chains."""
@@ -316,10 +313,10 @@ def mode_multiply(v: TTVector, matrices) -> TTVector:
     if len(matrices) != v.d:
         raise ShapeMismatch("need one matrix per mode")
     cores = []
-    for m, c in zip(matrices, v.cores):
+    for k, (m, c) in enumerate(zip(matrices, v.cores)):
         m = np.asarray(m, dtype=np.float64)
-        if m.shape[1] != c.shape[1]:
-            raise ShapeMismatch("matrix columns must match mode size")
+        if m.ndim != 2 or m.shape[1] != c.shape[1]:
+            raise ShapeMismatch(f"matrix {k} must be 2-D with {c.shape[1]} columns, got shape {m.shape}")
         cores.append(m @ c)  # (r0, m_rows, r1), contiguous
     return TTVector(cores)
 
@@ -732,75 +729,3 @@ def kron_sum_operator(factors) -> TTOperator:
                 c[row - first, :, :, col] = m
         cores.append(c)
     return TTOperator(cores)
-
-
-# ---------------------------------------------------------------------------
-# serialization: magic, int64 header, row-major float64 payloads (all LE)
-
-
-def _read_cores(path, magic, kind, modes):
-    """The cores of a container: magic, d, ``modes`` lists of d dims, d+1
-    ranks, then the cores.  Raises ValueError when the header is out of
-    range or the payload is not exactly the cores the header announces."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.startswith(magic):
-        raise ValueError(f"not a TT {kind} container")
-    corrupt = f"corrupt TT {kind} container"
-    pos = len(magic)
-
-    def ints(count):
-        nonlocal pos
-        start, pos = pos, pos + 8 * count
-        if len(data) < pos:
-            raise ValueError(f"{corrupt}: truncated header")
-        return np.frombuffer(data, dtype="<i8", count=count, offset=start).tolist()
-
-    (d,) = ints(1)
-    if d < 1:
-        raise ValueError(f"{corrupt}: d = {d}")
-    dims = [ints(d) for _ in range(modes)]
-    ranks = ints(d + 1)
-    if min(map(min, dims)) < 1 or min(ranks) < 1 or ranks[0] != 1 or ranks[-1] != 1:
-        raise ValueError(f"{corrupt}: dims {dims}, ranks {ranks}")
-    shapes = [(ranks[k], *(m[k] for m in dims), ranks[k + 1]) for k in range(d)]
-    sizes = [math.prod(shape) for shape in shapes]
-    if len(data) - pos != 8 * sum(sizes):
-        raise ValueError(
-            f"{corrupt}: payload has {len(data) - pos} bytes, the header announces {8 * sum(sizes)}"
-        )
-    cores = []
-    for shape, size in zip(shapes, sizes):
-        cores.append(np.frombuffer(data, dtype="<f8", count=size, offset=pos).reshape(shape).copy())
-        pos += 8 * size
-    return cores
-
-
-def _write_cores(path, magic, cores, modes):
-    """Write the container that ``_read_cores`` reads back: magic, d,
-    ``modes`` lists of d dims, d+1 ranks, then the cores."""
-    header = [len(cores), *(c.shape[1 + m] for m in range(modes) for c in cores),
-              cores[0].shape[0], *(c.shape[-1] for c in cores)]
-    with open(path, "wb") as fh:
-        fh.write(magic)
-        fh.write(np.asarray(header, dtype="<i8").tobytes())
-        for c in cores:
-            fh.write(np.ascontiguousarray(c, dtype="<f8").tobytes())
-
-
-def save_vector(path, v: TTVector) -> None:
-    """Write a TTVector to the binary container format."""
-    _write_cores(path, _VEC_MAGIC, v.cores, 1)
-
-
-def load_vector(path) -> TTVector:
-    return TTVector(_read_cores(path, _VEC_MAGIC, "vector", 1))
-
-
-def save_operator(path, a: TTOperator) -> None:
-    """Write a TTOperator to the binary container format."""
-    _write_cores(path, _OP_MAGIC, a.op_cores, 2)
-
-
-def load_operator(path) -> TTOperator:
-    return TTOperator(_read_cores(path, _OP_MAGIC, "operator", 2))

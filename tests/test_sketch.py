@@ -50,6 +50,9 @@ class TestConstruction:
     def test_mismatched_rows_rejected(self):
         with pytest.raises(ShapeMismatch):
             KhatriRaoSketch([np.zeros((3, 2)), np.zeros((4, 2))])
+        # a 1-D factor used to fail only later, at .dims or kr_apply
+        with pytest.raises(ShapeMismatch, match=r"factor 0 is not a matrix: shape \(5,\)"):
+            KhatriRaoSketch([np.ones(5), np.ones((5, 4))])
 
 
 def kr_dense_matrix(s):

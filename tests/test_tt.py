@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from ttkrylov.problems import (
     ConvectionDiffusionSpec,
@@ -24,10 +23,7 @@ from ttkrylov.tt import (
     check_seed,
     identity_operator,
     kron_sum_operator,
-    load_operator,
-    load_vector,
-    save_operator,
-    save_vector,
+    mode_multiply,
     tt_add,
     tt_dot,
     tt_from_dense,
@@ -853,59 +849,9 @@ class TestDensifyCommute:
             )
 
 
-class TestSerialization:
-    def test_vector_round_trip(self, tmp_path):
-        v = tt_random([3, 5, 2], [2, 3], seed=30)
-        p = tmp_path / "v.ttk"
-        save_vector(p, v)
-        w = load_vector(p)
-        assert w.dims == v.dims and w.ranks == v.ranks
-        for cw, cv in zip(w.cores, v.cores):
-            assert np.array_equal(cw, cv)
-
-    def test_operator_round_trip(self, tmp_path):
-        a = random_operator([3, 4], [2, 5], [3], seed=31)
-        p = tmp_path / "a.ttk"
-        save_operator(p, a)
-        b = load_operator(p)
-        assert b.row_dims == a.row_dims and b.col_dims == a.col_dims
-        for cb, ca in zip(b.op_cores, a.op_cores):
-            assert np.array_equal(cb, ca)
-
-    def test_magic_check(self, tmp_path):
-        p = tmp_path / "junk.ttk"
-        p.write_bytes(b"NOTMAGIC" + b"\x00" * 64)
-        with pytest.raises(ValueError):
-            load_vector(p)
-
-    @pytest.mark.parametrize("kind", ["vector", "operator"])
-    @pytest.mark.parametrize("damage", ["trailing bytes", "truncated payload"])
-    def test_payload_length_checked(self, tmp_path, kind, damage):
-        p = tmp_path / "x.ttk"
-        if kind == "vector":
-            save_vector(p, tt_random([3, 4], [2], seed=33))
-        else:
-            save_operator(p, random_operator([3, 4], [2, 2], [2], seed=34))
-        data = p.read_bytes()
-        p.write_bytes(data + bytes(8) if damage == "trailing bytes" else data[:-8])
-        with pytest.raises(ValueError, match="corrupt"):
-            (load_vector if kind == "vector" else load_operator)(p)
-
-    # header slots after the magic: d, dims[0], dims[1], ranks[0..2]
-    @pytest.mark.parametrize("slot,value", [(0, 0), (1, -3), (2, 0), (4, 0), (5, 2)],
-                             ids=["d", "negative dim", "zero dim", "zero rank", "boundary rank"])
-    def test_header_range_checked(self, tmp_path, slot, value):
-        p = tmp_path / "x.ttk"
-        save_vector(p, tt_random([3, 4], [2], seed=35))
-        data = bytearray(p.read_bytes())
-        data[8 + 8 * slot : 16 + 8 * slot] = np.int64(value).tobytes()
-        p.write_bytes(bytes(data))
-        with pytest.raises(ValueError, match="corrupt"):
-            load_vector(p)
-
-
 class TestChainChecks:
-    """TTVector and TTOperator share one check of their core chain."""
+    """TTVector and TTOperator share one check of their core chain;
+    mode_multiply checks its matrices before it multiplies."""
 
     @pytest.mark.parametrize("cls, shapes, message", [
         (TTVector, [(1, 2, 2, 1)], "core 0 must be order 3"),
@@ -914,8 +860,10 @@ class TestChainChecks:
         (TTOperator, [(1, 2, 2, 3), (2, 3, 3, 1)], "op rank chain broken between cores 0 and 1"),
         (TTVector, [(2, 2, 1)], "boundary ranks"),
         (TTOperator, [(1, 2, 2, 2)], "boundary op ranks"),
+        (lambda ms: mode_multiply(tt_zero([3, 4]), ms), [(3,), (4, 4)],
+         r"matrix 0 must be 2-D with 3 columns, got shape \(3,\)"),
     ], ids=["vector order", "operator order", "vector chain", "operator chain",
-            "vector boundary", "operator boundary"])
+            "vector boundary", "operator boundary", "mode matrix order"])
     def test_malformed_cores(self, cls, shapes, message):
         with pytest.raises(ShapeMismatch, match=message):
             cls([np.zeros(shape) for shape in shapes])
@@ -1121,40 +1069,3 @@ class TestAlgebraProperties:
         out = acc.combine([2.0])
         assert out.ranks == t.ranks
         assert np.array_equal(tt_to_dense(out), tt_to_dense(tt_scale(t, 2.0)))
-
-
-_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True, width=64)
-
-
-@st.composite
-def _cores(draw, modes):
-    """Cores of d <= 3 modes with any float64 entries, NaN and inf included."""
-    d = draw(st.integers(1, 3))
-    dims = [draw(st.lists(st.integers(1, 3), min_size=d, max_size=d)) for _ in range(modes)]
-    ranks = [1] + draw(st.lists(st.integers(1, 3), min_size=d - 1, max_size=d - 1)) + [1]
-    return [
-        draw(arrays(np.float64, (ranks[k], *(m[k] for m in dims), ranks[k + 1]), elements=_ANY_FLOAT))
-        for k in range(d)
-    ]
-
-
-def _same_bits(got, want):
-    return len(got) == len(want) and all(
-        g.shape == w.shape and g.tobytes() == w.tobytes() for g, w in zip(got, want)
-    )
-
-
-class TestSerializationProperties:
-    @settings(max_examples=40, deadline=None)
-    @given(cores=_cores(modes=1))
-    def test_vector_round_trip_is_bitwise(self, tmp_path_factory, cores):
-        p = tmp_path_factory.mktemp("vec") / "v.ttk"
-        save_vector(p, TTVector(cores))
-        assert _same_bits(load_vector(p).cores, cores)
-
-    @settings(max_examples=40, deadline=None)
-    @given(cores=_cores(modes=2))
-    def test_operator_round_trip_is_bitwise(self, tmp_path_factory, cores):
-        p = tmp_path_factory.mktemp("op") / "a.ttk"
-        save_operator(p, TTOperator(cores))
-        assert _same_bits(load_operator(p).op_cores, cores)

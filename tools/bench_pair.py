@@ -18,9 +18,14 @@ the ``records`` layout of the ``BENCH_*.json`` files:
   metric of ``BENCHMARK.json`` the per-run values of both sides (pair i at
   index i-1), their medians and quartiles (q1, q3), ``change_won``, the
   number of pairs in which the change was better (lower or higher as the
-  metric says), and ``beyond_parent_iqr``, whether the medians differ by
-  more than the parent's q3 - q1; then ``correct``, each run's output
-  check, and ``same_numbers``, whether ``iterations`` and ``sol_rank``
+  metric says), ``beyond_parent_iqr``, whether the medians differ by
+  more than the parent's q3 - q1, ``within_bound``, whether the change's
+  median is worse than the parent's by no more than the metric's
+  ``bound`` (relative, in its ``better`` direction), and ``unresolved``,
+  whether the parent's q3 - q1 is wider than that bound of its median
+  and not every change run reads better than every parent run (such a
+  metric is reported as unresolved, not as unchanged); then ``correct``,
+  each run's output check, and ``same_numbers``, whether ``iterations`` and ``sol_rank``
   were equal in every pair and ``res_true_excess`` within 1e-6 digits.
 
 With OTHER = ``.`` both sides are this checkout: an A/A test.  Its spread
@@ -72,7 +77,7 @@ def summarize(runs, metrics):
     """Per-metric values and summary of one seed's runs, a list of
     (parent result, change result) pairs."""
     out = {}
-    for name, better in metrics.items():
+    for name, (better, bound) in metrics.items():
         vals = {side: [r[i]["metrics"][name]["value"] for r in runs]
                 for i, side in enumerate(("parent", "change"))}
         entry = dict(vals)
@@ -80,12 +85,17 @@ def summarize(runs, metrics):
             sign = 1 if better == "lower" else -1
             med = {side: statistics.median(v) for side, v in vals.items()}
             q = {side: quartiles(v) for side, v in vals.items()}
+            spread = q["parent"][1] - q["parent"][0]
+            allowed = bound * abs(med["parent"])
             entry.update(
                 median=med,
                 quartiles=q,
                 change_won=sum(sign * (c - p) < 0 for p, c in zip(vals["parent"], vals["change"])),
-                beyond_parent_iqr=(abs(med["change"] - med["parent"])
-                                   > q["parent"][1] - q["parent"][0]),
+                beyond_parent_iqr=abs(med["change"] - med["parent"]) > spread,
+                within_bound=sign * (med["change"] - med["parent"]) <= allowed,
+                # the change's worst run no better than the parent's best
+                unresolved=(spread > allowed and max(sign * c for c in vals["change"])
+                            >= min(sign * p for p in vals["parent"])),
             )
         out[name] = entry
     out["correct"] = {side: [r[i]["correct"] for r in runs]
@@ -114,7 +124,7 @@ def main(argv=None) -> int:
     other = args.other.resolve()
     if not (other / "benchmarks" / "run.py").is_file():
         parser.error(f"{other} has no benchmarks/run.py")
-    metrics = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    metrics = {m["name"]: (m["better"], m["bound"]) for m in bench["end_to_end"]}
     trees = {"parent": other, "change": ROOT}
     shown = {"parent": str(args.other), "change": "."}
     records = {}
